@@ -3,10 +3,9 @@
 // a production team asks: what fraction of parts make 10 bits?
 //
 // The transistor-level mismatch ensemble at the end runs through the
-// batched structure-shared DC driver (analysis::monte_carlo_dc); the
-// lane count comes from --batch=N (or SI_MC_BATCH), where --batch=1 is
-// the scalar structure-shared fallback.  Samples are bit-identical at
-// every batch width.
+// structure-shared DC solve (analysis::monte_carlo_dc); --batch=N (or
+// SI_MC_BATCH) sets how many trials a worker solves per parallel chunk.
+// Samples are bit-identical at every batch width.
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -17,6 +16,7 @@
 #include "analysis/monte_carlo.hpp"
 #include "analysis/table.hpp"
 #include "dsm/modulator.hpp"
+#include "runtime/env.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/result_cache.hpp"
 #include "si/common_mode.hpp"
@@ -49,10 +49,18 @@ double modulator_sndr(std::uint64_t seed, double mismatch_scale) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t batch = 0;  // 0 = SI_MC_BATCH env or the default width
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--batch=", 8) == 0)
-      batch = static_cast<std::size_t>(std::strtoul(argv[i] + 8, nullptr, 10));
+  // Trials per parallel chunk; 0 = SI_MC_BATCH env or the default.
+  std::size_t batch = 0;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--batch=", 8) != 0) continue;
+    try {
+      batch = static_cast<std::size_t>(
+          runtime::parse_long("--batch", argv[i] + 8, 1));
+    } catch (const std::invalid_argument& e) {
+      std::cerr << e.what() << "\n";
+      return 2;
+    }
+  }
 
   analysis::print_banner(std::cout,
                          "Extension E5 - Monte-Carlo yield (60 dies each)");
@@ -122,11 +130,11 @@ int main(int argc, char** argv) {
 
   // Transistor-level mismatch ensemble: differential output offset of
   // the Table 2 modulator core under per-device kp / Vt0 draws, solved
-  // through the batched structure-shared DC driver.  The scalar run
-  // (batch = 1) re-solves the identical ensemble; samples must agree
-  // bitwise, so the only difference worth printing is trials/sec.
+  // through the structure-shared DC solve at one trial per chunk and at
+  // the requested width.  Samples must agree bitwise, so the only
+  // difference worth printing is trials/sec.
   {
-    const std::size_t lanes = analysis::mc_batch_lanes(batch);
+    const std::size_t width = analysis::mc_batch_lanes(batch);
     const int runs = 96;
     const auto w = analysis::modulator_mismatch_workload(2);
     auto time_run = [&](std::size_t b) {
@@ -140,19 +148,19 @@ int main(int argc, char** argv) {
                             runs / std::chrono::duration<double>(t1 - t0)
                                        .count());
     };
-    const auto [scalar, scalar_tps] = time_run(1);
-    const auto [batched, batched_tps] =
-        lanes > 1 ? time_run(lanes) : std::make_pair(scalar, scalar_tps);
+    const auto [single, single_tps] = time_run(1);
+    const auto [wide, wide_tps] =
+        width > 1 ? time_run(width) : std::make_pair(single, single_tps);
     std::cout << "\nTransistor-level offset ensemble (" << runs
               << " dies, 2-section core):\n  offset mean = "
-              << analysis::fmt(scalar.mean * 1e3, 3) << " mV, sigma = "
-              << analysis::fmt(scalar.sigma * 1e3, 3)
-              << " mV\n  scalar (batch=1): " << analysis::fmt(scalar_tps, 0)
-              << " trials/s; batched (batch=" << lanes
-              << "): " << analysis::fmt(batched_tps, 0) << " trials/s ("
-              << analysis::fmt(batched_tps / scalar_tps, 2) << "x)\n"
+              << analysis::fmt(single.mean * 1e3, 3) << " mV, sigma = "
+              << analysis::fmt(single.sigma * 1e3, 3)
+              << " mV\n  batch=1: " << analysis::fmt(single_tps, 0)
+              << " trials/s; batch=" << width << ": "
+              << analysis::fmt(wide_tps, 0) << " trials/s ("
+              << analysis::fmt(wide_tps / single_tps, 2) << "x)\n"
               << "  samples bit-identical across widths: "
-              << (batched.samples == scalar.samples ? "yes" : "NO") << "\n";
+              << (wide.samples == single.samples ? "yes" : "NO") << "\n";
   }
 
   const auto cache = runtime::series_cache().stats();

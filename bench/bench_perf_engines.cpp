@@ -452,16 +452,14 @@ EventRow time_event_row(const std::string& workload, int sections,
 }
 
 // ---------------------------------------------------------------------------
-// Batched Monte-Carlo rows: trials/sec of the mismatch-offset DC
-// ensemble (analysis::modulator_mismatch_workload) on the Table 2
-// modulator core, three ways —
-//  * rebuild_tps — the pre-batching per-trial path: every trial builds
-//    its own circuit and runs the full gmin-stepping ladder cold;
-//  * scalar_tps  — monte_carlo_dc at batch=1: structure-shared scalar
-//    solves over the one nominal symbolic factorization;
-//  * batched_tps — monte_carlo_dc at batch=8: SoA lanes through
-//    BatchedSparseLu.
-// All three produce bit-identical samples; only throughput differs.
+// Monte-Carlo rows: trials/sec of the mismatch-offset DC ensemble
+// (analysis::modulator_mismatch_workload) on the Table 2 modulator
+// core, two ways —
+//  * rebuild_tps — the per-trial path: every trial builds its own
+//    circuit and runs the full gmin-stepping ladder cold;
+//  * scalar_tps  — monte_carlo_dc at batch=8: structure-shared solves
+//    over the one nominal symbolic factorization.
+// Both produce bit-identical samples; only throughput differs.
 // ---------------------------------------------------------------------------
 
 struct McBatchRow {
@@ -472,7 +470,6 @@ struct McBatchRow {
   std::size_t batch = 0;
   double rebuild_tps = 0.0;
   double scalar_tps = 0.0;
-  double batched_tps = 0.0;
 };
 
 double time_once(const std::function<void()>& run) {
@@ -510,31 +507,26 @@ McBatchRow time_mc_batch_row(int sections, unsigned threads, int runs) {
         si::analysis::McOptions{});
     benchmark::DoNotOptimize(st.samples.data());
   };
-  auto drive = [&](std::size_t batch) {
+  auto scalar = [&] {
     si::analysis::McBatchOptions o;
-    o.batch = batch;
+    o.batch = r.batch;
     auto st = si::analysis::monte_carlo_dc(runs, w, o);
     benchmark::DoNotOptimize(st.samples.data());
   };
-  auto scalar = [&] { drive(1); };
-  auto batched = [&] { drive(r.batch); };
 
   si::runtime::set_thread_count(threads);
   rebuild();  // warm-up: thread pool, allocator, result layouts
   scalar();
-  batched();
-  // The three paths are timed INTERLEAVED, best-of-3 each: a host-wide
-  // slowdown (shared machine, CPU quota) then hits all three about
-  // equally and the gated ratios stay meaningful.
-  double tr = 1e300, ts = 1e300, tb = 1e300;
+  // The two paths are timed INTERLEAVED, best-of-3 each: a host-wide
+  // slowdown (shared machine, CPU quota) then hits both about equally
+  // and the gated ratio stays meaningful.
+  double tr = 1e300, ts = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
     tr = std::min(tr, time_once(rebuild));
     ts = std::min(ts, time_once(scalar));
-    tb = std::min(tb, time_once(batched));
   }
   r.rebuild_tps = static_cast<double>(runs) / tr;
   r.scalar_tps = static_cast<double>(runs) / ts;
-  r.batched_tps = static_cast<double>(runs) / tb;
   si::runtime::set_thread_count(0);
   return r;
 }
@@ -792,11 +784,9 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
     verify_rows.push_back(r);
   }
 
-  // Batched Monte-Carlo rows: thread sweep (1/2/4/8) on a small and on
-  // the largest Table 2 modulator.  The headline gate below checks the
-  // last row (size 8, 8 threads): batched must deliver >= 4x the
-  // per-trial rebuild path and must not lose to the structure-shared
-  // scalar driver.
+  // Monte-Carlo rows: thread sweep (1/2/4/8) on a small and on the
+  // largest Table 2 modulator.  The gate below checks the last row
+  // (size 8, 8 threads) against the per-trial rebuild path.
   std::vector<McBatchRow> mc_rows;
   for (int sections : {2, 8})
     for (unsigned threads : {1u, 2u, 4u, 8u})
@@ -864,9 +854,7 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
        << ", \"threads\": " << r.threads << ", \"batch\": " << r.batch
        << ", \"rebuild_tps\": " << r.rebuild_tps
        << ", \"scalar_tps\": " << r.scalar_tps
-       << ", \"batched_tps\": " << r.batched_tps
-       << ", \"speedup_vs_rebuild\": " << r.batched_tps / r.rebuild_tps
-       << ", \"speedup_vs_scalar\": " << r.batched_tps / r.scalar_tps << "}"
+       << ", \"speedup_vs_rebuild\": " << r.scalar_tps / r.rebuild_tps << "}"
        << (i + 1 < mc_rows.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"schur_scaling\": [\n";
@@ -962,42 +950,23 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
   for (const auto& r : mc_rows) {
     std::printf(
         "%-22s size=%d unknowns=%zu threads=%u batch=%zu rebuild=%.0f/s "
-        "scalar=%.0f/s batched=%.0f/s speedup=%.2fx\n",
+        "scalar=%.0f/s speedup=%.2fx\n",
         "mc_modulator_offset", r.size, r.unknowns, r.threads, r.batch,
-        r.rebuild_tps, r.scalar_tps, r.batched_tps,
-        r.batched_tps / r.rebuild_tps);
+        r.rebuild_tps, r.scalar_tps, r.scalar_tps / r.rebuild_tps);
   }
-  // Gate 1 (the acceptance headline, largest modulator at 8 threads):
-  // the batched path must deliver >= 2.5x the trials/sec of the
-  // per-trial rebuild path.  (Originally 4x; the sparse refactor-path
-  // optimizations that came with the BBD/Schur solver sped the rebuild
-  // baseline's cold gmin ladders by ~2.4x while batched gained less in
-  // ratio terms, so the multiple was recalibrated — the absolute
-  // batched trials/sec went UP.)  Gate 2 (kernel no-regression, largest
-  // modulator at 1 thread where timing is free of scheduler noise): the
-  // batched SoA path must stay within 20% of the structure-shared
-  // scalar driver it shares every bit of arithmetic with — they differ
-  // only in kernel layout, so falling well below it means the batched
-  // kernels regressed.
+  // Monte-Carlo gate (largest modulator at 8 threads): the
+  // structure-shared path must deliver >= 2.5x the trials/sec of the
+  // per-trial rebuild path.  The bound is below the shared path's first
+  // 4x because the sparse refactor-path work sped the rebuild
+  // baseline's cold gmin ladders by ~2.4x.
   if (!mc_rows.empty()) {
     const auto& mg = mc_rows.back();
-    if (mg.batched_tps < 2.5 * mg.rebuild_tps) {
+    if (mg.scalar_tps < 2.5 * mg.rebuild_tps) {
       std::fprintf(stderr,
-                   "FAIL: batched Monte-Carlo %.0f trials/s < 2.5x the "
+                   "FAIL: Monte-Carlo %.0f trials/s < 2.5x the "
                    "per-trial path (%.0f trials/s) on mc_modulator_offset "
                    "size=%d threads=%u\n",
-                   mg.batched_tps, mg.rebuild_tps, mg.size, mg.threads);
-      rc = 1;
-    }
-  }
-  for (const auto& r : mc_rows) {
-    if (r.size != mc_rows.back().size || r.threads != 1) continue;
-    if (r.batched_tps < 0.8 * r.scalar_tps) {
-      std::fprintf(stderr,
-                   "FAIL: batched Monte-Carlo %.0f trials/s below the "
-                   "scalar driver (%.0f trials/s) on mc_modulator_offset "
-                   "size=%d threads=%u\n",
-                   r.batched_tps, r.scalar_tps, r.size, r.threads);
+                   mg.scalar_tps, mg.rebuild_tps, mg.size, mg.threads);
       rc = 1;
     }
   }

@@ -14,6 +14,7 @@
 #include "analysis/table.hpp"
 #include "dsm/linear_model.hpp"
 #include "dsm/modulator.hpp"
+#include "runtime/env.hpp"
 #include "runtime/parallel.hpp"
 #include "si/noise_model.hpp"
 #include "si/power_area.hpp"
@@ -22,10 +23,18 @@
 int main(int argc, char** argv) {
   using namespace si;
 
-  std::size_t batch = 0;  // 0 = SI_MC_BATCH env or the default width
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--batch=", 8) == 0)
-      batch = static_cast<std::size_t>(std::strtoul(argv[i] + 8, nullptr, 10));
+  // Trials per parallel chunk; 0 = SI_MC_BATCH env or the default.
+  std::size_t batch = 0;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--batch=", 8) != 0) continue;
+    try {
+      batch = static_cast<std::size_t>(
+          runtime::parse_long("--batch", argv[i] + 8, 1));
+    } catch (const std::invalid_argument& e) {
+      std::cerr << e.what() << "\n";
+      return 2;
+    }
+  }
 
   const double band = 9.6e3;       // paper's signal bandwidth
   const double full_scale = 6e-6;  // 0-dB level
@@ -93,18 +102,18 @@ int main(int argc, char** argv) {
 
   // Mismatch yield at transistor level: the candidate design's SI
   // delay-line signal path under per-device kp / Vt0 process draws,
-  // solved through the batched structure-shared Monte-Carlo driver
-  // (--batch=N or SI_MC_BATCH picks the lane count; --batch=1 is the
-  // scalar fallback with bit-identical samples).  The chain's output
+  // solved through the structure-shared Monte-Carlo DC path
+  // (--batch=N or SI_MC_BATCH sets the trials per parallel chunk;
+  // samples are bit-identical at every width).  The chain's output
   // bias point must stay inside the memory cells' gate-drive window for
   // the die to meet its settling spec, so the spread against a +-50 mV
   // window is the yield question.
   {
-    const std::size_t lanes = analysis::mc_batch_lanes(batch);
+    const std::size_t width = analysis::mc_batch_lanes(batch);
     const int dies = 64;
     analysis::McBatchOptions mo;
     mo.seed0 = 17;
-    mo.batch = lanes;
+    mo.batch = width;
     const auto w = analysis::delay_line_mismatch_workload(2, /*sigma=*/0.02);
     const auto st = analysis::monte_carlo_dc(dies, w, mo);
     const double budget = 50e-3;  // |shift from ensemble median|, volts
@@ -112,7 +121,7 @@ int main(int argc, char** argv) {
     std::size_t pass = 0;
     for (double s : st.samples) pass += std::abs(s - median) <= budget;
     std::cout << "\nMismatch yield (transistor level, " << dies
-              << " dies, 2 % sigma, batch=" << lanes
+              << " dies, 2 % sigma, batch=" << width
               << "): bias spread sigma = " << analysis::fmt(st.sigma * 1e3, 2)
               << " mV, yield(|shift| <= 50 mV) = "
               << analysis::fmt(100.0 * static_cast<double>(pass) / dies, 0)

@@ -21,8 +21,8 @@ namespace si::analysis {
 std::size_t mc_batch_lanes(std::size_t requested) {
   if (requested > 0) return requested;
   // Strict parse (see runtime/env.hpp): junk and non-positive values
-  // throw instead of silently running single-lane.  Values above the
-  // documented 64-lane limit still clamp — a large ask is a valid ask.
+  // throw instead of silently running the default width.  Values above
+  // the documented limit of 64 still clamp — a large ask is a valid ask.
   if (const auto v = runtime::parse_env_long("SI_MC_BATCH", 1,
                                              std::numeric_limits<long>::max()))
     return std::min<std::size_t>(static_cast<std::size_t>(*v), 64);
@@ -31,37 +31,28 @@ std::size_t mc_batch_lanes(std::size_t requested) {
 
 namespace {
 
-// One worker execution context: circuit, trial functors, engine (and
-// with it the pattern + nominal-symbolic caches), per-batch scratch.
-// Heap-allocated and never moved — the engine holds a reference to the
-// circuit next to it.
+// One worker execution context: circuit, trial functors, and the engine
+// (with it the pattern + nominal-symbolic caches).  Heap-allocated and
+// never moved — the engine holds a reference to the circuit next to it.
 struct TrialContext {
-  TrialContext(const McDcWorkload& w, std::size_t lanes,
-               const linalg::Vector& nominal)
-      : fns(w.build(c)),
-        engine(c, lanes,
-               [&w, &nominal] {
-                 spice::BatchedDcEngine::Options o;
-                 o.newton = w.newton;
-                 o.batch_drift_tol = w.batch_drift_tol;
-                 o.nominal_seed = nominal;
-                 return o;
-               }()),
-        seeds(lanes),
-        results(lanes) {}
+  TrialContext(const McDcWorkload& w, const linalg::Vector& nominal)
+      : fns(w.build(c)), engine(c, [&w, &nominal] {
+          spice::McDcEngine::Options o;
+          o.newton = w.newton;
+          o.nominal_seed = nominal;
+          return o;
+        }()) {}
 
   spice::Circuit c;
   McDcTrialFns fns;
-  spice::BatchedDcEngine engine;
-  std::vector<std::uint64_t> seeds;
-  std::vector<spice::BatchedLaneResult> results;
+  spice::McDcEngine engine;
   linalg::Vector x;
 };
 
 std::vector<double> run_dc_trials(int runs, const McDcWorkload& w,
                                   const McBatchOptions& opts) {
   const std::size_t n = static_cast<std::size_t>(runs);
-  const std::size_t lanes = mc_batch_lanes(opts.batch);
+  const std::size_t width = mc_batch_lanes(opts.batch);
   std::vector<double> samples(n);
 
   // The nominal gmin-ladder solve is a pure function of the pristine
@@ -82,7 +73,7 @@ std::vector<double> run_dc_trials(int runs, const McDcWorkload& w,
   }
 
   // Contexts are pooled and reused across chunks, so the expensive
-  // prepare() — the nominal gmin-ladder solve plus the shared symbolic
+  // prepare() — the pattern build plus the shared symbolic
   // factorization — runs once per *concurrent worker*, not once per
   // chunk.  Context identity cannot affect results: every context
   // derives the same nominal from the same pristine build(), and every
@@ -98,19 +89,17 @@ std::vector<double> run_dc_trials(int runs, const McDcWorkload& w,
         return ctx;
       }
     }
-    return std::make_unique<TrialContext>(w, lanes, nominal);
+    return std::make_unique<TrialContext>(w, nominal);
   };
 
   auto body = [&](std::size_t begin, std::size_t end) {
     auto ctx = acquire();
     spice::Circuit& c = ctx->c;
     McDcTrialFns& fns = ctx->fns;
-    spice::BatchedDcEngine& engine = ctx->engine;
 
-    // Last-resort per-trial solve: the full gmin-stepping ladder (the
-    // pre-batching Monte-Carlo path), used when even the scalar
-    // shared-symbolic solve cannot converge or the draw stamps outside
-    // the frozen pattern.
+    // Last-resort per-trial solve: the full gmin-stepping ladder, used
+    // when the shared-symbolic solve cannot converge or the draw stamps
+    // outside the frozen pattern.
     auto ladder = [&](std::uint64_t seed) {
       fns.apply(seed);
       spice::DcOptions dopt;
@@ -119,56 +108,29 @@ std::vector<double> run_dc_trials(int runs, const McDcWorkload& w,
       return spice::dc_operating_point(c, dopt).x;
     };
 
-    for (std::size_t k0 = begin; k0 < end;) {
-      const std::size_t m = std::min(lanes, end - k0);
-      for (std::size_t j = 0; j < m; ++j)
-        ctx->seeds[j] = runtime::trial_seed(opts.seed0, k0 + j);
-      bool batched = false;
-      if (lanes > 1) {
-        try {
-          engine.solve_batch(ctx->seeds.data(), m, fns.apply,
-                             ctx->results.data());
-          batched = true;
-        } catch (const linalg::PatternMissError&) {
-          batched = false;  // resolve the whole group trial by trial
-        } catch (const spice::ConvergenceError&) {
-          batched = false;  // e.g. the nominal prepare() itself failed
-        }
+    for (std::size_t k = begin; k < end; ++k) {
+      const std::uint64_t seed = runtime::trial_seed(opts.seed0, k);
+      try {
+        ctx->engine.solve_scalar(seed, fns.apply, ctx->x);
+      } catch (const spice::ConvergenceError&) {
+        ctx->x = ladder(seed);
+      } catch (const linalg::PatternMissError&) {
+        ctx->x = ladder(seed);
       }
-      for (std::size_t j = 0; j < m; ++j) {
-        const std::uint64_t seed = ctx->seeds[j];
-        const linalg::Vector* sol;
-        if (batched && ctx->results[j].converged) {
-          sol = &engine.lane_solution(j);
-        } else {
-          // Ejected lane / scalar mode: deterministic scalar re-run.
-          try {
-            engine.solve_scalar(seed, fns.apply, ctx->x);
-          } catch (const spice::ConvergenceError&) {
-            ctx->x = ladder(seed);
-          } catch (const linalg::PatternMissError&) {
-            ctx->x = ladder(seed);
-          }
-          sol = &ctx->x;
-        }
-        // Re-apply so element parameters match the lane when measure()
-        // inspects devices, not just node voltages.
-        fns.apply(seed);
-        samples[k0 + j] = fns.measure(spice::SolutionView(c, *sol));
-      }
-      k0 += m;
+      // Both solves leave this seed's draw applied, as measure() needs.
+      samples[k] = fns.measure(spice::SolutionView(c, ctx->x));
     }
 
     const std::lock_guard<std::mutex> lock(ctx_mu);
     ctx_pool.push_back(std::move(ctx));
   };
 
-  // Auto grain: one batch per chunk keeps the pool's load balancing at
-  // its finest; the context pool above makes small chunks cheap.  Chunk
-  // boundaries cannot change results: every trial is a pure function of
-  // its seed.
+  // Auto grain: one batch width per chunk keeps the pool's load
+  // balancing fine; the context pool above makes small chunks cheap.
+  // Chunk boundaries cannot change results: every trial is a pure
+  // function of its seed.
   const std::size_t grain =
-      opts.grain > 0 ? std::max(opts.grain, lanes) : lanes;
+      opts.grain > 0 ? std::max(opts.grain, width) : width;
   if (opts.parallel)
     runtime::parallel_for(n, body, grain);
   else
@@ -185,9 +147,9 @@ McStatistics monte_carlo_dc(int runs, const McDcWorkload& workload,
   if (runs < 1) throw std::invalid_argument("monte_carlo_dc: runs >= 1");
   if (opts.cache_key != 0) {
     // Deliberately independent of opts.batch and the thread count:
-    // batched and scalar runs are bit-identical, so they MUST share one
-    // cache entry (a batched run warms the cache for a scalar rerun and
-    // vice versa).
+    // runs at every width are bit-identical, so they MUST share one
+    // cache entry (a run at one width warms the cache for a rerun at
+    // any other).
     const std::uint64_t key = runtime::Fnv1a()
                                   .str("analysis.mc_dc")
                                   .u64(opts.cache_key)

@@ -1,17 +1,15 @@
-// Batched Monte-Carlo DC driver: N parameter draws of one circuit
-// topology solved together through spice::BatchedDcEngine (shared
-// symbolic factorization, SoA value lanes, SIMD-friendly inner loops),
-// with each pool thread owning whole batches.
+// Monte-Carlo DC analysis: N parameter draws of one circuit topology,
+// each solved through spice::McDcEngine (one pattern, one nominal gmin
+// ladder shared by every worker, one nominal symbolic factorization),
+// with each pool thread owning whole chunks of trials.
 //
-// Contract: samples are bit-identical to the serial scalar reference at
-// ANY batch size and thread count.  Seeding stays the pure function
-// runtime::trial_seed(seed0, k); the batched kernels mirror the scalar
-// arithmetic lane-for-lane; lanes whose pivots drift (or that fail to
-// converge inside the batch) are ejected and re-run on the scalar
-// re-pivot path, whose result is again a pure function of the trial.
-// Because of that, batched and scalar runs share ONE series-cache entry
-// (the memo key folds cache_key, seed0, and runs — deliberately not the
-// batch size or thread count).
+// Contract: samples are bit-identical to the serial reference at ANY
+// batch width and thread count.  Seeding stays the pure function
+// runtime::trial_seed(seed0, k), and every trial's solve is a pure
+// function of its seed (a re-pivoted trial restores the nominal
+// symbolic before the next one).  Because of that, runs at different
+// widths share ONE series-cache entry (the memo key folds cache_key,
+// seed0, and runs — deliberately not the batch width or thread count).
 #pragma once
 
 #include "analysis/monte_carlo.hpp"
@@ -22,7 +20,7 @@ namespace si::analysis {
 /// The two per-trial closures a DC Monte-Carlo workload provides.
 /// `apply(seed)` re-applies that trial's parameter draw to the circuit
 /// (values only — no topology edits) and must be a pure function of the
-/// seed: the engine invokes it before every stamping pass of the lane.
+/// seed: the engine invokes it before every stamping pass.
 /// `measure` maps the converged solution to the sample metric; apply()
 /// is guaranteed to have run for the same seed immediately before.
 struct McDcTrialFns {
@@ -30,19 +28,19 @@ struct McDcTrialFns {
   std::function<double(const spice::SolutionView&)> measure;
 };
 
-/// A batched DC workload: `build` populates an empty per-thread Circuit
-/// and returns the trial closures bound to it.  Each pool thread builds
-/// its own circuit + engine, so `build` must be deterministic.
+/// A Monte-Carlo DC workload: `build` populates an empty per-thread
+/// Circuit and returns the trial closures bound to it.  Each pool thread
+/// builds its own circuit + engine, so `build` must be deterministic.
 struct McDcWorkload {
   std::function<McDcTrialFns(spice::Circuit&)> build;
   spice::NewtonOptions newton;
-  /// Forwarded to BatchedDcEngine::Options::batch_drift_tol.
-  double batch_drift_tol = 0.0;
 };
 
-/// McOptions plus the batch width.  batch = 0 resolves through the
-/// SI_MC_BATCH environment variable, defaulting to 8; batch = 1 is the
-/// scalar fallback (per-trial solve_scalar, no SoA kernels).
+/// McOptions plus the batch width: the number of trials a worker solves
+/// per parallel chunk (the chunk is max(grain, batch) when grain is
+/// set).  batch = 0 resolves through the SI_MC_BATCH environment
+/// variable, defaulting to 8.  The width moves work between threads and
+/// never changes a sample.
 struct McBatchOptions : McOptions {
   std::size_t batch = 0;
 };
@@ -52,10 +50,9 @@ struct McBatchOptions : McOptions {
 std::size_t mc_batch_lanes(std::size_t requested);
 
 /// Runs `runs` DC trials of the workload and aggregates the metric.
-/// Bit-identical across batch sizes and thread counts (see file
-/// comment); trials the batched path ejects are re-solved scalar, and
-/// trials the shared-symbolic scalar path cannot converge fall back to
-/// the full gmin-stepping dc_operating_point ladder.
+/// Bit-identical across batch widths and thread counts (see file
+/// comment); trials the shared-symbolic solve cannot converge fall back
+/// to the full gmin-stepping dc_operating_point ladder.
 McStatistics monte_carlo_dc(int runs, const McDcWorkload& workload,
                             const McBatchOptions& opts = {});
 

@@ -149,9 +149,7 @@ struct SlotMemo {
   }
 
   /// Slot of (r, c) in `p` through the memo: replayed writes are direct
-  /// indexed lookups; a shifted sequence is patched in place.  Shared by
-  /// the scalar SparseMatrix and the batched SoA matrix so both stamp
-  /// through one memo.
+  /// indexed lookups; a shifted sequence is patched in place.
   int lookup(const SparsePattern& p, int r, int c) {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(r)) << 32) |
@@ -298,10 +296,9 @@ class SparseLu {
   /// Solves A X = B for `k` right-hand sides in ONE sweep over the
   /// factor.  `b` and `x` are row-major n x k — the k lanes of a row
   /// are contiguous (entry (i, lane) at i*k + lane) — so the sweep
-  /// decodes each factor entry once and applies it to every lane, the
-  /// same SoA idea as the batched Monte-Carlo solver.  Lane `l` of the
-  /// result is bit-identical to solve() on column `l` alone.  `x` is
-  /// resized; no allocation once the lane workspace is warm.
+  /// decodes each factor entry once and applies it to every lane.  Lane
+  /// `l` of the result is bit-identical to solve() on column `l` alone.
+  /// `x` is resized; no allocation once the lane workspace is warm.
   void solve_multi(const std::vector<T>& b, std::vector<T>& x,
                    std::size_t k) const;
 
@@ -310,8 +307,6 @@ class SparseLu {
   std::size_t symbolic_builds() const { return symbolic_builds_; }
 
  private:
-  friend class BatchedSparseLu;  // adopts the frozen symbolic structure
-
   void build_symbolic(const SparseMatrix<T>& a);
   void refactor_values(const SparseMatrix<T>& a, bool fresh_pivot);
 

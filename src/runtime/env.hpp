@@ -1,5 +1,6 @@
 // Strict SI_* environment-variable parsing, shared by every subsystem
-// that reads a configuration knob from the environment.
+// that reads a configuration knob from the environment; parse_long is
+// also the number parser of the CLIs' numeric flags.
 //
 // Policy (see README "Environment variables"): an unset or empty
 // variable means "use the default"; anything else must parse EXACTLY or
@@ -36,15 +37,13 @@ namespace env_detail {
 
 }  // namespace env_detail
 
-/// Parses an integer environment variable.  Returns std::nullopt when
-/// the variable is unset or empty (caller applies its default).  Throws
-/// std::invalid_argument on anything that is not a whole base-10 number
-/// within [min, max]: trailing junk ("8x"), non-numeric ("abc"),
-/// overflow, or an out-of-range value.
-inline std::optional<long> parse_env_long(const char* name, long min = LONG_MIN,
-                                          long max = LONG_MAX) {
-  const char* raw = std::getenv(name);
-  if (!raw || !*raw) return std::nullopt;
+/// Parses `raw` as a whole base-10 number within [min, max].  Throws
+/// std::invalid_argument naming `name` (a variable or a CLI flag) on
+/// anything else: empty, trailing junk ("8x"), non-numeric ("abc"),
+/// overflow, or an out-of-range value.  The strict core shared by
+/// parse_env_long and the CLIs' numeric flags.
+inline long parse_long(const char* name, const char* raw, long min = LONG_MIN,
+                       long max = LONG_MAX) {
   errno = 0;
   char* end = nullptr;
   const long v = std::strtol(raw, &end, 10);
@@ -58,6 +57,17 @@ inline std::optional<long> parse_env_long(const char* name, long min = LONG_MIN,
                      "must be in [" + std::to_string(min) + ", " +
                          std::to_string(max) + "]");
   return v;
+}
+
+/// Parses an integer environment variable.  Returns std::nullopt when
+/// the variable is unset or empty (caller applies its default);
+/// anything else goes through parse_long and throws unless it is a
+/// whole base-10 number within [min, max].
+inline std::optional<long> parse_env_long(const char* name, long min = LONG_MIN,
+                                          long max = LONG_MAX) {
+  const char* raw = std::getenv(name);
+  if (!raw || !*raw) return std::nullopt;
+  return parse_long(name, raw, min, max);
 }
 
 /// Parses a boolean environment variable.  Accepts "1"/"on"/"true" and

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "linalg/batch.hpp"
 #include "spice/circuit.hpp"
 
 namespace si::spice {
@@ -31,11 +30,6 @@ RealStamper::RealStamper(const Circuit& c, linalg::SparseMatrixD& a,
                          linalg::SlotMemo* memo)
     : circuit_(&c), sparse_(&a), memo_(memo), b_(&b), x_(&x) {}
 
-RealStamper::RealStamper(const Circuit& c, linalg::BatchedSparseMatrixD& a,
-                         std::size_t lane, linalg::Vector& b,
-                         const linalg::Vector& x, linalg::SlotMemo* memo)
-    : circuit_(&c), batched_(&a), lane_(lane), memo_(memo), b_(&b), x_(&x) {}
-
 RealStamper::RealStamper(const Circuit& c, linalg::PatternBuilder& rec,
                          linalg::Vector& b, const linalg::Vector& x)
     : circuit_(&c), record_(&rec), b_(&b), x_(&x) {}
@@ -55,8 +49,6 @@ void RealStamper::add(int r, int c, double v) {
     (*dense_)(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) += v;
   } else if (sparse_) {
     sparse_->add(r, c, v, memo_);
-  } else if (batched_) {
-    batched_->add(r, c, lane_, v, memo_);
   } else {
     record_->add(r, c);
   }

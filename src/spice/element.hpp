@@ -12,10 +12,6 @@
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
 
-namespace si::linalg {
-class BatchedSparseMatrixD;
-}  // namespace si::linalg
-
 namespace si::spice {
 
 using NodeId = int;
@@ -59,16 +55,12 @@ class SolutionView {
 
 /// Accumulates real (DC / transient Newton) stamps.
 ///
-/// Four interchangeable backends keep the Element interface unchanged
+/// Three interchangeable backends keep the Element interface unchanged
 /// while the MNA engine picks the representation:
 ///  - dense: writes into a DenseMatrix (the seed behavior);
 ///  - sparse: indexed writes into a SparseMatrix's nonzero array,
 ///    optionally through a SlotMemo so replayed Newton iterations skip
 ///    the slot search entirely (pattern-cached stamping);
-///  - batched lane: indexed writes into one SoA lane of a
-///    BatchedSparseMatrixD (the batched Monte-Carlo path; the RHS stays
-///    a per-lane scalar vector), with the same SlotMemo semantics so all
-///    lanes share one memo;
 ///  - record: collects the (row, col) touches into a PatternBuilder
 ///    during the engine's one-time discovery pass (values discarded).
 class RealStamper {
@@ -77,9 +69,6 @@ class RealStamper {
               const linalg::Vector& x);
   RealStamper(const Circuit& c, linalg::SparseMatrixD& a, linalg::Vector& b,
               const linalg::Vector& x, linalg::SlotMemo* memo = nullptr);
-  RealStamper(const Circuit& c, linalg::BatchedSparseMatrixD& a,
-              std::size_t lane, linalg::Vector& b, const linalg::Vector& x,
-              linalg::SlotMemo* memo = nullptr);
   RealStamper(const Circuit& c, linalg::PatternBuilder& rec,
               linalg::Vector& b, const linalg::Vector& x);
 
@@ -124,8 +113,6 @@ class RealStamper {
   const Circuit* circuit_;
   linalg::Matrix* dense_ = nullptr;
   linalg::SparseMatrixD* sparse_ = nullptr;
-  linalg::BatchedSparseMatrixD* batched_ = nullptr;
-  std::size_t lane_ = 0;
   linalg::PatternBuilder* record_ = nullptr;
   linalg::SlotMemo* memo_ = nullptr;
   const std::vector<unsigned char>* scope_ = nullptr;

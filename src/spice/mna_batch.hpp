@@ -1,58 +1,38 @@
-// Batched structure-shared DC Newton engine for Monte-Carlo: N
-// parameter draws of ONE topology are solved together over a single
-// symbolic factorization, with every trial's values stamped into its
-// own SoA lane of a BatchedSparseMatrixD through one shared SlotMemo.
+// Structure-shared DC Newton engine for Monte-Carlo: many parameter
+// draws of ONE topology are solved one after another over a single
+// sparsity pattern, a single nominal symbolic factorization, and one
+// pair of slot memos, so a trial costs numeric refactors only.
 //
-// Bit-identity contract (see DESIGN.md "Batched Monte-Carlo"): the
+// Bit-identity contract (see DESIGN.md "Monte-Carlo DC contract"): the
 // NOMINAL circuit (the parameters in place when prepare() first runs,
 // keyed on Circuit::revision()) is solved once with the full
 // gmin-stepping ladder; its operating point seeds every trial's Newton
-// iteration and its first-iteration matrix freezes the one shared
-// symbolic factorization — both independent of trials, batch size, and
-// thread count.  Per-lane arithmetic in the batched kernels mirrors the scalar
-// reference operation-for-operation and lanes never interact, so a lane
-// of solve_batch() and a solve_scalar() call of the same trial produce
-// the same solution — which is what lets the Monte-Carlo driver promise
-// bit-identical samples at any batch size.
-//
-// Lane-ejection rule: a lane whose refactor pivot drifts below the
-// row-relative threshold, or that fails to converge within the batch,
-// is marked `ejected` and left to the caller to re-run through
-// solve_scalar() — the scalar path that re-pivots on drift.  Ejection
-// is itself a pure function of the trial's arithmetic, so the same
-// trial ejects (and recovers identically) at every batch size.
+// iteration and its first-iteration matrix freezes the shared symbolic
+// factorization — both independent of trials, chunking, and thread
+// count.  A trial whose refactor pivot drifts re-pivots on its own
+// values, and the nominal symbolic is restored before the next trial,
+// so every solve_scalar() result is a pure function of the trial's
+// seed.  That is what lets monte_carlo_dc promise bit-identical
+// samples at any batch width and thread count.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 
-#include "linalg/batch.hpp"
 #include "spice/dc.hpp"
 
 namespace si::spice {
 
-/// Per-trial outcome of one solve_batch() lane.
-struct BatchedLaneResult {
-  bool converged = false;  ///< solved on the batched path
-  bool ejected = false;    ///< re-run this trial through solve_scalar()
-  int iterations = 0;      ///< Newton iterations (when converged)
-};
-
-/// See the file comment.  Construct once per (circuit, lane count) and
-/// reuse across batches; the pattern, the nominal symbolic
-/// factorization, and all workspaces are rebuilt only when
-/// Circuit::revision() changes.  The batched path always uses the
-/// sparse representation regardless of system size.
-class BatchedDcEngine {
+/// See the file comment.  Construct once per circuit and reuse across
+/// trials; the pattern, the nominal symbolic factorization, and all
+/// workspaces are rebuilt only when Circuit::revision() changes.  The
+/// engine always uses the sparse representation regardless of system
+/// size.
+class McDcEngine {
  public:
   struct Options {
     NewtonOptions newton;
-    /// Pivot-drift ejection threshold of the batched refactor only
-    /// (row-relative, like SparseLu::Options::drift_tol); 0 keeps the
-    /// scalar solver's default.  Raising it ejects lanes to the scalar
-    /// re-pivot path earlier — a robustness/throughput knob that cannot
-    /// change results, only which path computes them.
-    double batch_drift_tol = 0.0;
     /// Precomputed nominal operating point (system_size() entries, the
     /// dc_operating_point solution of the pristine circuit with the
     /// engine's NewtonOptions and erc_gate off).  When its size matches
@@ -64,45 +44,26 @@ class BatchedDcEngine {
     linalg::Vector nominal_seed;
   };
 
-  BatchedDcEngine(Circuit& c, std::size_t lanes, Options opt);
-  BatchedDcEngine(Circuit& c, std::size_t lanes)
-      : BatchedDcEngine(c, lanes, Options{}) {}
+  McDcEngine(Circuit& c, Options opt) : circuit_(&c), opt_(std::move(opt)) {}
+  explicit McDcEngine(Circuit& c) : McDcEngine(c, Options{}) {}
 
-  std::size_t lanes() const { return lanes_; }
-  Circuit& circuit() { return *circuit_; }
-
-  /// Solves `count` (<= lanes()) trials as one batch.  `apply(seed)`
-  /// must (re)apply that trial's parameter draw to the circuit — values
-  /// only, no topology edits — and is invoked immediately before every
-  /// stamping pass of the lane, so it must be a pure function of the
-  /// seed.  Outcomes land in `results[0..count)`; converged solutions
-  /// are read back with lane_solution().
-  void solve_batch(const std::uint64_t* seeds, std::size_t count,
-                   const std::function<void(std::uint64_t)>& apply,
-                   BatchedLaneResult* results);
-
-  /// Solution of lane k after solve_batch() (valid when converged).
-  const linalg::Vector& lane_solution(std::size_t k) const {
-    return x_lane_[k];
-  }
-
-  /// Scalar reference solve of one trial over the same shared nominal
-  /// symbolic factorization — bit-identical to a batched lane on the
-  /// drift-free path, and the recovery path for ejected lanes: pivot
-  /// drift re-runs the pivoting factorization on the trial's own values
-  /// (the symbolic is restored from the nominal matrix before the next
-  /// trial).  Returns iterations used; throws ConvergenceError.
+  /// Solves one trial over the shared nominal symbolic factorization.
+  /// `apply(seed)` must (re)apply that trial's parameter draw to the
+  /// circuit — values only, no topology edits — and is invoked
+  /// immediately before every stamping pass, so it must be a pure
+  /// function of the seed.  Pivot drift re-runs the pivoting
+  /// factorization on the trial's own values (the symbolic is restored
+  /// from the nominal matrix before the next trial).  Returns the
+  /// iterations used; throws ConvergenceError.
   int solve_scalar(std::uint64_t seed,
                    const std::function<void(std::uint64_t)>& apply,
                    linalg::Vector& x);
 
  private:
   void prepare();
-  void stamp_lane_baseline(std::size_t lane, const linalg::Vector& x);
   StampContext dc_context() const;
 
   Circuit* circuit_;
-  std::size_t lanes_;
   Options opt_;
   std::uint64_t revision_ = 0;
   bool prepared_ = false;
@@ -117,35 +78,16 @@ class BatchedDcEngine {
                               // Newton seed and the symbolic reference
                               // stamping point
   linalg::SparseMatrixD a_nominal_;  // first-iteration nominal system
-  linalg::SparseLuD lu_nominal_;     // symbolic reference (never re-pivoted)
-
-  // Batched path.
-  linalg::BatchedSparseMatrixD ab0_;  // per-lane baselines
-  linalg::BatchedSparseMatrixD ab_;   // per-iteration values
-  linalg::BatchedSparseLu blu_;
-  linalg::SlotMemo lin_memo_;  // shared across lanes and iterations
+  linalg::SparseMatrixD a0_;         // per-trial linear baseline
+  linalg::SparseMatrixD a_;          // per-iteration values
+  linalg::SparseLuD lu_;
+  bool repivoted_ = false;  // lu_ holds a trial's own pivot order
+  linalg::SlotMemo lin_memo_;
   linalg::SlotMemo nl_memo_;
   bool lin_memo_warm_ = false;
   bool nl_memo_warm_ = false;
-  std::vector<linalg::Vector> b0_lane_;
-  std::vector<linalg::Vector> b_lane_;
-  std::vector<linalg::Vector> x_lane_;
-  std::vector<double> b_soa_;  // row-major gather for the batched solve
-  std::vector<double> x_soa_;
-  std::vector<unsigned char> live_;
-
-  // Scalar reference / recovery path.
-  linalg::SparseMatrixD a0_scalar_;
-  linalg::SparseMatrixD a_scalar_;
-  linalg::SparseLuD lu_scalar_;
-  bool scalar_lu_warm_ = false;
-  bool scalar_repivoted_ = false;
-  linalg::SlotMemo s_lin_memo_;
-  linalg::SlotMemo s_nl_memo_;
-  bool s_lin_memo_warm_ = false;
-  bool s_nl_memo_warm_ = false;
-  linalg::Vector b0_s_;
-  linalg::Vector b_s_;
+  linalg::Vector b0_;
+  linalg::Vector b_;
   linalg::Vector x_new_;
 };
 

@@ -1,163 +1,75 @@
-// Batched Monte-Carlo contracts: the SoA LU kernels are bit-identical
-// to the scalar SparseLu reference lane-for-lane, pivot drift ejects
-// exactly the drifting lane, and the batched DC driver reproduces the
-// serial sample vector at every batch size and thread count.
+// Monte-Carlo DC contracts: the structure-shared path reproduces the
+// serial sample vector at every batch width and thread count, including
+// trials that re-pivot, and runs at different widths share one cache
+// entry.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 
 #include "analysis/mc_batch.hpp"
-#include "linalg/batch.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/rng_stream.hpp"
-#include "spice/mna_batch.hpp"
+#include "spice/elements.hpp"
 
 namespace {
 
 using namespace si;
 
-// Dense-ish 4x4 test pattern with an asymmetric structure.
-std::shared_ptr<const linalg::SparsePattern> make_pattern() {
-  linalg::PatternBuilder pb(4);
-  for (int i = 0; i < 4; ++i) pb.add(i, i);
-  pb.add(0, 1);
-  pb.add(1, 0);
-  pb.add(1, 2);
-  pb.add(2, 3);
-  pb.add(3, 0);
-  pb.add(3, 2);
-  return pb.build(/*symmetrize=*/true);
-}
+// Test-only linear block over nodes (a, b) with a settable conductance
+// g from a to ground:
+//   row a: [g, 1]   (g to ground, plus a unit transconductance from b)
+//   row b: [1, 1]   (unit transconductance from a, plus 1 S to ground)
+// At the nominal g = 2 the frozen pivot of column a is g; a draw with
+// g ~ 1e-13 collapses that pivot far below the row scale while the
+// system stays well conditioned under row exchange (v(a) = I / (g - 1)),
+// so the trial must re-pivot on its own values.
+class SwingBlock final : public spice::Element {
+ public:
+  SwingBlock(std::string name, spice::NodeId a, spice::NodeId b)
+      : Element(std::move(name)), a_(a), b_(b) {}
 
-// Fills `a` with a deterministic well-conditioned value set for `seed`.
-void fill_values(linalg::SparseMatrixD& a, std::uint64_t seed) {
-  runtime::RngStream rng(seed);
-  auto& v = a.values();
-  for (std::size_t s = 0; s < v.size(); ++s) v[s] = rng.uniform() - 0.5;
-  const auto& diag = a.pattern().diag_slots();
-  for (int i = 0; i < a.dim(); ++i)
-    v[static_cast<std::size_t>(diag[i])] += 4.0;  // diagonally dominant
-}
+  void set_g(double g) { g_ = g; }
 
-TEST(BatchedSparseLu, BitIdenticalToScalarPerLane) {
-  const auto pattern = make_pattern();
-  const std::size_t kLanes = 5;
-
-  linalg::SparseMatrixD nominal(pattern);
-  fill_values(nominal, 1);
-  linalg::SparseLuD ref;
-  ref.factor(nominal);
-
-  linalg::BatchedSparseLu blu;
-  blu.adopt_symbolic(ref, kLanes);
-  ASSERT_TRUE(blu.adopted());
-
-  linalg::BatchedSparseMatrixD ba(pattern, kLanes);
-  std::vector<linalg::SparseMatrixD> lane_a(kLanes,
-                                            linalg::SparseMatrixD(pattern));
-  for (std::size_t k = 0; k < kLanes; ++k) {
-    fill_values(lane_a[k], 100 + k);
-    for (std::size_t s = 0; s < pattern->nnz(); ++s)
-      ba.values()[s * kLanes + k] = lane_a[k].values()[s];
+  std::vector<spice::Terminal> terminals() const override {
+    return {{a_, "a"}, {b_, "b"}};
+  }
+  void stamp(spice::RealStamper& s, const spice::StampContext&) override {
+    s.conductance(a_, spice::kGroundNode, g_);
+    s.transconductance(a_, spice::kGroundNode, b_, spice::kGroundNode, 1.0);
+    s.transconductance(b_, spice::kGroundNode, a_, spice::kGroundNode, 1.0);
+    s.conductance(b_, spice::kGroundNode, 1.0);
   }
 
-  std::vector<unsigned char> live(kLanes, 1);
-  EXPECT_EQ(blu.refactor(ba, live), 0u);
+ private:
+  spice::NodeId a_, b_;
+  double g_ = 2.0;
+};
 
-  const std::size_t n = 4;
-  std::vector<double> b_soa(n * kLanes), x_soa(n * kLanes);
-  std::vector<std::vector<double>> lane_b(kLanes, std::vector<double>(n));
-  for (std::size_t k = 0; k < kLanes; ++k) {
-    runtime::RngStream rng(900 + k);
-    for (std::size_t i = 0; i < n; ++i) {
-      lane_b[k][i] = rng.uniform();
-      b_soa[i * kLanes + k] = lane_b[k][i];
-    }
-  }
-  blu.solve(b_soa, x_soa);
-
-  // Scalar reference: the SAME shared symbolic (factor on nominal, then
-  // numeric-only refactor per lane), compared bitwise.
-  linalg::SparseLuD slu;
-  slu.factor(nominal);
-  std::vector<double> x;
-  for (std::size_t k = 0; k < kLanes; ++k) {
-    slu.refactor(lane_a[k]);
-    slu.solve(lane_b[k], x);
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(x[i], x_soa[i * kLanes + k]) << "lane " << k << " row " << i;
-  }
-}
-
-TEST(BatchedSparseLu, DriftEjectsOnlyTheDriftingLane) {
-  // 2x2 system where lane 1's values make the FROZEN pivot order bad
-  // (a(0,0) collapses to 1e-12 of the row scale) while the matrix
-  // itself stays perfectly well-conditioned — the re-pivoting recovery
-  // path must solve it.  Lane 0 stays healthy throughout.
-  linalg::PatternBuilder pb(2);
-  pb.add(0, 0);
-  pb.add(0, 1);
-  pb.add(1, 0);
-  pb.add(1, 1);
-  const auto pattern = pb.build();
-
-  linalg::SparseMatrixD nominal(pattern);
-  nominal.add(0, 0, 2.0);  // pivoting freezes row order (0, 1)
-  nominal.add(0, 1, 1.0);
-  nominal.add(1, 0, 1.0);
-  nominal.add(1, 1, 1.0);
-  linalg::SparseLuD ref;
-  ref.factor(nominal);
-
-  const std::size_t kLanes = 2;
-  linalg::BatchedSparseLu blu;
-  blu.adopt_symbolic(ref, kLanes);
-
-  linalg::BatchedSparseMatrixD ba(pattern, kLanes);
-  // Lane 0: the nominal values.  Lane 1: a(0,0) = 1e-12, so the frozen
-  // leading pivot sits far below drift_tol * rmax even though the
-  // matrix is fine under row exchange.
-  for (std::size_t s = 0; s < pattern->nnz(); ++s)
-    ba.values()[s * kLanes + 0] = nominal.values()[s];
-  linalg::SparseMatrixD drifty(pattern);
-  drifty.add(0, 0, 1e-12);
-  drifty.add(0, 1, 1.0);
-  drifty.add(1, 0, 1.0);
-  drifty.add(1, 1, 1.0);
-  for (std::size_t s = 0; s < pattern->nnz(); ++s)
-    ba.values()[s * kLanes + 1] = drifty.values()[s];
-
-  std::vector<unsigned char> live(kLanes, 1);
-  EXPECT_EQ(blu.refactor(ba, live), 1u);
-  EXPECT_EQ(live[0], 1);
-  EXPECT_EQ(live[1], 0);
-
-  // The scalar reference agrees that this trial drifts...
-  linalg::SparseLuD slu;
-  slu.factor(nominal);
-  EXPECT_THROW(slu.refactor(drifty), linalg::PivotDriftError);
-
-  // ...and the recovery path (full re-pivoting factor on the trial's
-  // own values) solves it.
-  slu.factor(drifty);
-  std::vector<double> b = {1.0, 1.0}, x;
-  slu.solve(b, x);
-  EXPECT_NEAR(drifty.get(0, 0) * x[0] + drifty.get(0, 1) * x[1], 1.0, 1e-6);
-
-  // Lane 0 is untouched by its neighbor's ejection: solution still
-  // bitwise-matches the scalar shared-symbolic path.
-  std::vector<double> b_soa = {1.0, 1.0, 1.0, 1.0};  // row-major SoA
-  std::vector<double> x_soa(4);
-  blu.solve(b_soa, x_soa);
-  linalg::SparseLuD s0;
-  s0.factor(nominal);
-  s0.refactor(nominal);
-  std::vector<double> x0;
-  s0.solve(b, x0);
-  EXPECT_EQ(x_soa[0 * 2 + 0], x0[0]);
-  EXPECT_EQ(x_soa[1 * 2 + 0], x0[1]);
+// A workload whose draw swings SwingBlock's g by thirteen orders of
+// magnitude on about a quarter of the seeds and jitters it by 5 %
+// otherwise.
+analysis::McDcWorkload swing_workload() {
+  analysis::McDcWorkload w;
+  w.build = [](spice::Circuit& c) {
+    const auto a = c.node("a");
+    const auto b = c.node("b");
+    c.add<spice::CurrentSource>("Iin", c.ground(), a, 1e-3);
+    auto* block = &c.add<SwingBlock>("Xswing", a, b);
+    analysis::McDcTrialFns fns;
+    fns.apply = [block](std::uint64_t seed) {
+      runtime::RngStream rng(seed);
+      const bool swing = rng.uniform() < 0.25;
+      const double jitter = 1.0 + 0.05 * rng.normal();
+      block->set_g(swing ? 2e-13 : 2.0 * jitter);
+    };
+    fns.measure = [a](const spice::SolutionView& sol) {
+      return sol.voltage(a);
+    };
+    return fns;
+  };
+  return w;
 }
 
 TEST(McBatch, LaneResolverHonorsEnvAndDefault) {
@@ -198,32 +110,39 @@ TEST(McBatch, SamplesBitIdenticalAcrossBatchSizesAndThreads) {
   runtime::set_thread_count(0);
 }
 
-TEST(McBatch, EjectedLanesRecoverTheReferenceResult) {
+TEST(McBatch, RepivotedTrialsMatchTheSerialReference) {
+  // Trials whose frozen pivot collapses re-pivot on their own values;
+  // the nominal symbolic must be restored before the next trial, or a
+  // trial's result would depend on which trials its worker solved
+  // before it — and so on the width and thread count.
   obs::set_enabled(true);
-  const int kRuns = 12;
+  const auto w = swing_workload();
+  const int kRuns = 40;
 
-  auto w = analysis::modulator_mismatch_workload(1);
+  const auto before = obs::counter("mna.pivot_repivots").value();
   analysis::McBatchOptions ref_opts;
   ref_opts.seed0 = 7;
   ref_opts.batch = 1;
-  ref_opts.parallel = false;
+  ref_opts.parallel = false;  // the serial reference
   const auto ref = analysis::monte_carlo_dc(kRuns, w, ref_opts);
+  ASSERT_EQ(ref.count(), static_cast<std::size_t>(kRuns));
+  EXPECT_GT(obs::counter("mna.pivot_repivots").value(), before);
 
-  // An absurd ejection threshold (pivot < 10 * row max) throws every
-  // lane off the batched path; each trial must come back through the
-  // scalar recovery solve with the identical sample.
-  w.batch_drift_tol = 10.0;
-  const auto before = obs::counter("mc.batch.lane_ejections").value();
-  analysis::McBatchOptions opts;
-  opts.seed0 = 7;
-  opts.batch = 4;
-  opts.parallel = false;
-  const auto st = analysis::monte_carlo_dc(kRuns, w, opts);
-  EXPECT_EQ(st.samples, ref.samples);
-  EXPECT_GT(obs::counter("mc.batch.lane_ejections").value(), before);
+  for (std::size_t batch : {1u, 3u, 8u, 17u}) {
+    for (unsigned threads : {1u, 2u, 8u}) {
+      runtime::set_thread_count(threads);
+      analysis::McBatchOptions opts;
+      opts.seed0 = 7;
+      opts.batch = batch;
+      const auto st = analysis::monte_carlo_dc(kRuns, w, opts);
+      EXPECT_EQ(st.samples, ref.samples)
+          << "batch=" << batch << " threads=" << threads;
+    }
+  }
+  runtime::set_thread_count(0);
 }
 
-TEST(McBatch, BatchedAndScalarRunsShareOneCacheEntry) {
+TEST(McBatch, TwoWidthsShareOneCacheEntry) {
   auto applies = std::make_shared<std::atomic<int>>(0);
   auto base = analysis::modulator_mismatch_workload(1);
   analysis::McDcWorkload w;
@@ -243,16 +162,16 @@ TEST(McBatch, BatchedAndScalarRunsShareOneCacheEntry) {
   opts.cache_key = 0x5150c0ffee;  // unique to this test
   opts.parallel = false;
   opts.batch = 8;
-  const auto batched = analysis::monte_carlo_dc(10, w, opts);
-  const int after_batched = applies->load();
-  EXPECT_GT(after_batched, 0);
+  const auto wide = analysis::monte_carlo_dc(10, w, opts);
+  const int after_wide = applies->load();
+  EXPECT_GT(after_wide, 0);
 
-  // Same key, scalar path: bit-identical results mean the batched run
+  // Same key, another width: bit-identical results mean the first run
   // already owns the cache entry — no trial may execute.
   opts.batch = 1;
-  const auto scalar = analysis::monte_carlo_dc(10, w, opts);
-  EXPECT_EQ(applies->load(), after_batched);
-  EXPECT_EQ(scalar.samples, batched.samples);
+  const auto single = analysis::monte_carlo_dc(10, w, opts);
+  EXPECT_EQ(applies->load(), after_wide);
+  EXPECT_EQ(single.samples, wide.samples);
 }
 
 TEST(McStatistics, HistogramLoadsSamplesIntoRegistry) {

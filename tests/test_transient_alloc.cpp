@@ -196,10 +196,11 @@ TEST(TransientAlloc, TransientRunStepsAllocateOnlyDuringWarmup) {
       << "transient step loop allocated after warm-up";
 }
 
-TEST(TransientAlloc, BatchedRefactorSolveIsAllocationFreeAfterWarmup) {
-  // The batched Monte-Carlo hot loop: per-lane stamping, SoA
-  // refactor, and the batched substitution must stop allocating once
-  // the engine workspaces and slot memos are warm.
+TEST(TransientAlloc, McScalarSolveIsAllocationFreeAfterWarmup) {
+  // The Monte-Carlo DC hot loop: per-trial stamping through the slot
+  // memos, the numeric refactor over the shared nominal symbolic, and
+  // the solve must stop allocating once the engine workspaces and slot
+  // memos are warm.
   si::obs::set_enabled(true);
   Circuit c;
   c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
@@ -221,24 +222,20 @@ TEST(TransientAlloc, BatchedRefactorSolveIsAllocationFreeAfterWarmup) {
     }
   };
 
-  constexpr std::size_t kLanes = 4;
-  BatchedDcEngine engine(c, kLanes, BatchedDcEngine::Options{});
-  std::uint64_t seeds[kLanes];
-  BatchedLaneResult results[kLanes];
-  auto run_batch = [&](std::uint64_t base) {
-    for (std::size_t k = 0; k < kLanes; ++k) seeds[k] = base + k;
-    engine.solve_batch(seeds, kLanes, apply, results);
-    for (std::size_t k = 0; k < kLanes; ++k)
-      ASSERT_TRUE(results[k].converged) << "lane " << k;
+  McDcEngine engine(c);
+  si::linalg::Vector x;
+  auto run_trials = [&](std::uint64_t base) {
+    for (std::uint64_t k = 0; k < 4; ++k)
+      EXPECT_GT(engine.solve_scalar(base + k, apply, x), 0);
   };
 
-  run_batch(100);  // warm-up: pattern, symbolic, memos, workspaces
-  run_batch(200);  // second pass: memos replay
+  run_trials(100);  // warm-up: pattern, symbolic, memos, workspaces
+  run_trials(200);  // second pass: memos replay
 
   const std::uint64_t before = g_allocs.load();
-  for (int r = 0; r < 10; ++r) run_batch(300 + 10 * r);
+  for (std::uint64_t r = 0; r < 10; ++r) run_trials(300 + 10 * r);
   EXPECT_EQ(g_allocs.load() - before, 0u)
-      << "heap allocations leaked into the warm batched MC loop";
+      << "heap allocations leaked into the warm Monte-Carlo DC loop";
 }
 
 }  // namespace
