@@ -22,7 +22,9 @@
 #include "spice/transient.hpp"
 #include "verify/verify.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -546,179 +548,119 @@ double time_ms(int kind, const std::function<std::size_t()>& run,
 }
 
 // ---------------------------------------------------------------------------
-// Domain-decomposition (BBD/Schur) scaling rows: the SOLVER PATH — one
-// pivoting factorization plus kSchurCycles x (numeric refactor + solve)
-// on the transient-mode Jacobian assembled at the DC operating point —
-// flat sparse vs schur at 1/2/4/8 runtime threads on both
-// transistor-level workload families.  The solver path is timed in
-// isolation because whole-transient wall time is dominated by
-// solver-independent stamping (Amdahl caps any solver at well under 2x
-// there); the assembled system and the cycle count are exactly what the
-// engines execute per accepted transient step, so the rows predict the
-// in-engine solver cost directly.  The thread-independent part of the
-// win is the pivoting first factorization — flat sparse runs one dense
-// O(n^3) pivot pass per topology, schur runs k block-sized ones — plus
-// the batched multi-RHS Schur contribution solves; the per-cycle
-// refactors then scale with the pool (on hosts that have the cores:
-// parallel_for clamps its dispatch width at hardware_concurrency, so t8
-// on a small host reads as t1 without dispatch overhead).  Gates: schur
-// must reach 2x flat sparse on the largest modulator (128 sections,
-// ~2200 unknowns — the >= 64-section acceptance workload) at 8 threads; the
-// kSchurAutoThreshold crossover must be honest in both directions; and
-// no row's partition may degenerate (plus, under --telemetry, an
-// end-to-end engine transient must engage schur without fallback).
+// Sparse-solver rows, two gates:
+//  * default_path — the 128-section modulator transient (2178 unknowns)
+//    on the default `auto` path must be at most 10% slower than with an
+//    explicit SI_SOLVER=sparse.  This is the rule that would have caught
+//    the retired auto-engaged BBD/Schur path, 3.2x slower end to end.
+//  * factor_scaling — the one-time SparseLu::factor (ordering, pivoting
+//    pass, symbolic fill, first numeric factor) on the transient
+//    Jacobian of the 32/64/128/256-section cores (546-4354 unknowns).
+//    The time-vs-size exponent fitted over the best of kFactorReps runs
+//    per size must stay <= 2.0.
 // ---------------------------------------------------------------------------
 
-/// Refactor+solve cycles per timed rep: transient-representative (the
-/// quick-suite transients run 100-200 accepted steps per topology).
-constexpr int kSchurCycles = 120;
+constexpr int kFactorReps = 5;
 
-struct SchurRow {
-  std::string workload;
+struct DefaultPathRow {
   int size = 0;
+  double periods = 0.0;
   std::size_t unknowns = 0;
-  int cycles = kSchurCycles;
+  double auto_ms = 0.0;
   double sparse_ms = 0.0;
-  double schur_ms_t1 = 0.0;
-  double schur_ms_t2 = 0.0;
-  double schur_ms_t4 = 0.0;
-  double schur_ms_t8 = 0.0;
-  double speedup_t8 = 0.0;
-  std::uint64_t blocks = 0;        ///< BBD diagonal blocks
-  std::uint64_t border = 0;        ///< interface unknowns
-  bool degenerate = false;         ///< partition refused to decompose
-  double parity_maxerr = 0.0;      ///< max |x_schur - x_sparse|
-  double solution_scale = 0.0;     ///< max |x_sparse| (parity gate scale)
 };
 
-/// The transient-mode MNA Jacobian of a workload at its DC operating
-/// point — the exact system the engines refactor every Newton iteration
-/// of a transient — plus its RHS.
-struct SolverPathSystem {
-  std::size_t unknowns = 0;
-  std::shared_ptr<const si::linalg::SparsePattern> pattern;
-  si::linalg::SparseMatrixD a;
-  std::vector<double> b;
-};
+DefaultPathRow time_default_path_row(int sections, double periods) {
+  DefaultPathRow r;
+  r.size = sections;
+  r.periods = periods;
+  auto run = [&] { r.unknowns = run_modulator_transient(sections, periods); };
+  // Interleaved best-of-4, like the Monte-Carlo rows: a host-wide
+  // slowdown hits both paths about equally, and the minimum drops the
+  // cold first pass.
+  r.auto_ms = r.sparse_ms = 1e300;
+  for (int rep = 0; rep < 4; ++rep) {
+    {
+      SolverEnv env("auto");
+      r.auto_ms = std::min(r.auto_ms, 1e3 * time_once(run));
+    }
+    {
+      SolverEnv env("sparse");
+      r.sparse_ms = std::min(r.sparse_ms, 1e3 * time_once(run));
+    }
+  }
+  return r;
+}
 
-SolverPathSystem assemble_solver_path(const std::string& workload, int size) {
+/// The transient-mode MNA Jacobian of the Table 2 modulator core at its
+/// DC operating point: the system the engine factors once per topology.
+si::linalg::SparseMatrixD modulator_jacobian(int sections,
+                                             std::size_t* unknowns) {
   namespace nets = si::cells::netlists;
   si::spice::Circuit c;
   c.add<si::spice::VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
-  double T = 0.0;
-  if (workload == "schur_delay_line") {
-    nets::DelayStageOptions opt;
-    const auto h = nets::build_delay_line_chain(c, size, opt, "dl_");
-    T = opt.pair.clock_period;
-    c.add<si::spice::CurrentSource>(
-        "Iin", c.ground(), h.in,
-        std::make_unique<si::spice::SineWave>(0.0, 5e-6, 1.0 / (8.0 * T)));
-  } else {
-    nets::ModulatorCoreOptions opt;
-    const auto h = nets::build_modulator_core(c, size, opt, "mod_");
-    T = opt.stage.pair.clock_period;
-    c.add<si::spice::CurrentSource>(
-        "Iinp", c.ground(), h.in_p,
-        std::make_unique<si::spice::SineWave>(0.0, 4e-6, 1.0 / (8.0 * T)));
-    c.add<si::spice::CurrentSource>(
-        "Iinm", c.ground(), h.in_m,
-        std::make_unique<si::spice::SineWave>(0.0, -4e-6, 1.0 / (8.0 * T)));
-  }
-  c.finalize();
-  SolverPathSystem sys;
-  sys.unknowns = c.system_size();
-  const auto n = sys.unknowns;
+  nets::ModulatorCoreOptions opt;
+  const auto h = nets::build_modulator_core(c, sections, opt, "mod_");
+  c.add<si::spice::CurrentSource>("Iinp", c.ground(), h.in_p, 4e-6);
+  c.add<si::spice::CurrentSource>("Iinm", c.ground(), h.in_m, -4e-6);
   si::spice::DcOptions dopt;
   dopt.erc_gate = false;
   const auto dc = si::spice::dc_operating_point(c, dopt);
+  const std::size_t n = *unknowns = c.system_size();
   si::spice::StampContext ctx;
   ctx.mode = si::spice::AnalysisMode::kTransient;
-  ctx.time = 0.0;
-  ctx.dt = T / 200.0;
-  si::linalg::Vector b(n);
+  ctx.dt = opt.stage.pair.clock_period / 200.0;
+  si::linalg::Vector b(n, 0.0);
   si::linalg::PatternBuilder pb(static_cast<int>(n));
   {
     si::spice::RealStamper rec(c, pb, b, dc.x);
     for (const auto& e : c.elements()) e->stamp(rec, ctx);
   }
-  sys.pattern = pb.build(true);
-  sys.a = si::linalg::SparseMatrixD(sys.pattern);
-  b.assign(n, 0.0);
+  si::linalg::SparseMatrixD a(pb.build(true));
   {
-    si::spice::RealStamper rs(c, sys.a, b, dc.x);
+    si::spice::RealStamper rs(c, a, b, dc.x);
     for (const auto& e : c.elements()) e->stamp(rs, ctx);
   }
-  // gmin on the diagonal, like the engine's baseline stamp.
-  for (std::size_t i = 0; i < n; ++i)
-    sys.a.values()[static_cast<std::size_t>(sys.pattern->diag_slots()[i])] +=
+  // gmin on the node diagonal, like the engine's baseline stamp.
+  for (std::size_t i = 0; i + 1 < c.node_count(); ++i)
+    a.values()[static_cast<std::size_t>(a.pattern().diag_slots()[i])] +=
         ctx.gmin;
-  sys.b.resize(n);
-  for (std::size_t i = 0; i < n; ++i) sys.b[i] = b[i];
-  return sys;
+  return a;
 }
 
-SchurRow time_schur_row(const std::string& workload, int size) {
-  SchurRow r;
-  r.workload = workload;
-  r.size = size;
-  const auto sys = assemble_solver_path(workload, size);
-  r.unknowns = sys.unknowns;
-  const int reps = 2;  // best-of: rep 0 absorbs the warm-up allocations
+struct FactorRow {
+  int size = 0;
+  std::size_t unknowns = 0;
+  std::size_t factor_nnz = 0;
+  double factor_ms = 0.0;
+};
 
-  std::vector<double> x_sparse, x_schur;
-  {
-    si::linalg::SparseLuD lu;
-    double best = 1e300;
-    for (int rep = 0; rep < reps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      lu.factor(sys.a);
-      for (int k = 0; k < kSchurCycles; ++k) {
-        lu.refactor(sys.a);
-        lu.solve(sys.b, x_sparse);
-      }
-      const auto t1 = std::chrono::steady_clock::now();
-      best = std::min(
-          best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-    r.sparse_ms = best;
+FactorRow time_factor_row(int sections) {
+  FactorRow r;
+  r.size = sections;
+  const auto a = modulator_jacobian(sections, &r.unknowns);
+  r.factor_ms = 1e300;
+  for (int rep = 0; rep < kFactorReps; ++rep) {
+    si::linalg::SparseLuD lu;  // fresh: every rep runs the symbolic phase
+    r.factor_ms = std::min(r.factor_ms, 1e3 * time_once([&] { lu.factor(a); }));
+    r.factor_nnz = lu.factor_nnz();
   }
-  for (double v : x_sparse)
-    r.solution_scale = std::max(r.solution_scale, std::abs(v));
-
-  const auto part = si::linalg::bbd_partition(*sys.pattern);
-  r.degenerate = part.degenerate;
-  r.blocks = part.block_count();
-  r.border = part.border_size();
-  if (part.degenerate) return r;
-
-  auto time_schur_at = [&](unsigned threads) {
-    si::runtime::set_thread_count(threads);
-    si::linalg::SchurLuD schur;
-    schur.attach(sys.pattern, part);
-    double best = 1e300;
-    for (int rep = 0; rep < reps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      schur.factor(sys.a);
-      for (int k = 0; k < kSchurCycles; ++k) {
-        schur.refactor(sys.a);
-        schur.solve(sys.b, x_schur);
-      }
-      const auto t1 = std::chrono::steady_clock::now();
-      best = std::min(
-          best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-    return best;
-  };
-  r.schur_ms_t1 = time_schur_at(1);
-  r.schur_ms_t2 = time_schur_at(2);
-  r.schur_ms_t4 = time_schur_at(4);
-  r.schur_ms_t8 = time_schur_at(8);
-  si::runtime::set_thread_count(0);
-  r.speedup_t8 = r.sparse_ms / r.schur_ms_t8;
-  for (std::size_t i = 0; i < r.unknowns; ++i)
-    r.parity_maxerr =
-        std::max(r.parity_maxerr, std::abs(x_sparse[i] - x_schur[i]));
   return r;
+}
+
+/// Least-squares slope of log(factor_ms) against log(unknowns).
+double fitted_exponent(const std::vector<FactorRow>& rows) {
+  double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
+  const double k = static_cast<double>(rows.size());
+  for (const auto& r : rows) {
+    const double x = std::log(static_cast<double>(r.unknowns));
+    const double y = std::log(r.factor_ms);
+    sx += x;
+    sy += y;
+    sxx += x * x;
+    sxy += x * y;
+  }
+  return (k * sxy - sx * sy) / (k * sxx - sx * sx);
 }
 
 int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
@@ -792,26 +734,13 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
     for (unsigned threads : {1u, 2u, 4u, 8u})
       mc_rows.push_back(time_mc_batch_row(sections, threads, /*runs=*/64));
 
-  // Domain-decomposition scaling rows (solver-path microbench; every
-  // partition in the sweep must decompose — checked per row below).
-  std::vector<SchurRow> schur_rows;
-  for (int stages : {8, 16, 32, 64, 128})
-    schur_rows.push_back(time_schur_row("schur_delay_line", stages));
-  for (int sections : {8, 16, 32, 64, 128})
-    schur_rows.push_back(time_schur_row("schur_modulator", sections));
-
-  // End-to-end engine check: one explicit-schur transient on the
-  // acceptance modulator must build a partition and never fall back.
-  std::uint64_t schur_fallbacks_delta = 0;
-  std::uint64_t schur_partitions_delta = 0;
-  if (telemetry) {
-    const auto f0 = si::obs::counter("schur.fallbacks").value();
-    const auto p0 = si::obs::counter("schur.partitions").value();
-    SolverEnv env("schur");
-    run_modulator_transient(64, 0.25);
-    schur_fallbacks_delta = si::obs::counter("schur.fallbacks").value() - f0;
-    schur_partitions_delta = si::obs::counter("schur.partitions").value() - p0;
-  }
+  // Sparse-solver rows: the default path against explicit sparse on
+  // the 128-section transient, and the one-time factor across sizes.
+  const DefaultPathRow default_row = time_default_path_row(128, 0.25);
+  std::vector<FactorRow> factor_rows;
+  for (int sections : {32, 64, 128, 256})
+    factor_rows.push_back(time_factor_row(sections));
+  const double factor_exponent = fitted_exponent(factor_rows);
 
   std::ofstream os(out_path);
   os << "{\n  \"solver_bench\": [\n";
@@ -857,23 +786,24 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
        << ", \"speedup_vs_rebuild\": " << r.scalar_tps / r.rebuild_tps << "}"
        << (i + 1 < mc_rows.size() ? "," : "") << "\n";
   }
-  os << "  ],\n  \"schur_scaling\": [\n";
-  for (std::size_t i = 0; i < schur_rows.size(); ++i) {
-    const auto& r = schur_rows[i];
-    os << "    {\"workload\": \"" << r.workload << "\", \"size\": " << r.size
-       << ", \"unknowns\": " << r.unknowns << ", \"cycles\": " << r.cycles
-       << ", \"sparse_ms\": " << r.sparse_ms
-       << ", \"schur_ms_t1\": " << r.schur_ms_t1
-       << ", \"schur_ms_t2\": " << r.schur_ms_t2
-       << ", \"schur_ms_t4\": " << r.schur_ms_t4
-       << ", \"schur_ms_t8\": " << r.schur_ms_t8
-       << ", \"speedup_t8\": " << r.speedup_t8 << ", \"blocks\": " << r.blocks
-       << ", \"border\": " << r.border
-       << ", \"degenerate\": " << (r.degenerate ? "true" : "false")
-       << ", \"parity_maxerr\": " << r.parity_maxerr << "}"
-       << (i + 1 < schur_rows.size() ? "," : "") << "\n";
+  os << "  ],\n  \"default_path\": [\n";
+  os << "    {\"workload\": \"table2_modulator\", \"size\": "
+     << default_row.size << ", \"periods\": " << default_row.periods
+     << ", \"unknowns\": " << default_row.unknowns
+     << ", \"auto_ms\": " << default_row.auto_ms
+     << ", \"sparse_ms\": " << default_row.sparse_ms
+     << ", \"ratio\": " << default_row.auto_ms / default_row.sparse_ms
+     << "}\n";
+  os << "  ],\n  \"factor_scaling\": [\n";
+  for (std::size_t i = 0; i < factor_rows.size(); ++i) {
+    const auto& r = factor_rows[i];
+    os << "    {\"workload\": \"modulator_jacobian\", \"size\": " << r.size
+       << ", \"unknowns\": " << r.unknowns << ", \"reps\": " << kFactorReps
+       << ", \"factor_ms\": " << r.factor_ms
+       << ", \"factor_nnz\": " << r.factor_nnz << "}"
+       << (i + 1 < factor_rows.size() ? "," : "") << "\n";
   }
-  os << "  ]";
+  os << "  ],\n  \"factor_exponent\": " << factor_exponent;
   if (telemetry) {
     // Merge the solver telemetry snapshot: factor/refactor counts,
     // fallback engagements, step stats for the whole quick suite.
@@ -977,95 +907,32 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
                  sweep_event_ms, sweep_mono_ms);
     rc = 1;
   }
-  for (const auto& r : schur_rows) {
-    std::printf(
-        "%-18s size=%d unknowns=%zu cycles=%d sparse=%.2fms schur_t1=%.2fms "
-        "t2=%.2fms t4=%.2fms t8=%.2fms speedup_t8=%.2fx blocks=%llu "
-        "border=%llu maxerr=%.2e\n",
-        r.workload.c_str(), r.size, r.unknowns, r.cycles, r.sparse_ms,
-        r.schur_ms_t1, r.schur_ms_t2, r.schur_ms_t4, r.schur_ms_t8,
-        r.speedup_t8, static_cast<unsigned long long>(r.blocks),
-        static_cast<unsigned long long>(r.border), r.parity_maxerr);
-  }
-  // Gate 1 (the acceptance headline): on the largest modulator workload
-  // (128 sections, ~2200 unknowns) the schur solver at 8 threads must
-  // deliver at least 2x the flat sparse solver over the solver path.
-  for (const auto& r : schur_rows) {
-    if (r.workload != "schur_modulator" || r.size != 128) continue;
-    if (r.speedup_t8 < 2.0) {
-      std::fprintf(stderr,
-                   "FAIL: schur speedup %.2fx below the 2x target on "
-                   "schur_modulator size=%d (%zu unknowns) at 8 threads\n",
-                   r.speedup_t8, r.size, r.unknowns);
-      rc = 1;
-    }
-  }
-  // Gate 2: the kSchurAutoThreshold crossover must be honest in both
-  // directions.  Rows at or above the threshold must not lose to flat
-  // sparse even at 1 thread (15% timer-noise allowance) and must
-  // auto-resolve to schur; rows below it must auto-resolve to flat
-  // sparse (the heuristic never volunteers a size where schur loses).
-  {
-    SolverEnv env("auto");  // the size heuristic, not the caller's env
-    for (const auto& r : schur_rows) {
-      const auto resolved = si::spice::resolve_solver(
-          si::spice::SolverKind::kAuto, r.unknowns);
-      if (r.unknowns >= si::spice::kSchurAutoThreshold) {
-        if (r.schur_ms_t1 > 1.15 * r.sparse_ms) {
-          std::fprintf(stderr,
-                       "FAIL: schur (%.2f ms) slower than flat sparse "
-                       "(%.2f ms) on auto-engaged %s size=%d at 1 thread\n",
-                       r.schur_ms_t1, r.sparse_ms, r.workload.c_str(), r.size);
-          rc = 1;
-        }
-        if (resolved != si::spice::SolverKind::kSchur) {
-          std::fprintf(stderr,
-                       "FAIL: auto did not resolve to schur at %zu unknowns "
-                       "(%s size=%d)\n",
-                       r.unknowns, r.workload.c_str(), r.size);
-          rc = 1;
-        }
-      } else if (resolved == si::spice::SolverKind::kSchur) {
-        std::fprintf(stderr,
-                     "FAIL: auto resolved to schur below the threshold at "
-                     "%zu unknowns (%s size=%d)\n",
-                     r.unknowns, r.workload.c_str(), r.size);
-        rc = 1;
-      }
-    }
-  }
-  // Parity: schur reorders the elimination but never the solution — the
-  // two paths must agree to solver roundoff on every row.
-  for (const auto& r : schur_rows) {
-    if (r.degenerate) continue;
-    if (r.parity_maxerr > 1e-6 * (1.0 + r.solution_scale)) {
-      std::fprintf(stderr,
-                   "FAIL: schur/sparse solutions diverged (maxerr=%.3e, "
-                   "scale=%.3e) on %s size=%d\n",
-                   r.parity_maxerr, r.solution_scale, r.workload.c_str(),
-                   r.size);
-      rc = 1;
-    }
-  }
-  // Gate 3: every size in the sweep must decompose, and the end-to-end
-  // engine transient must engage schur without ever falling back — a
-  // degenerate partition or fallback here means the partitioner
-  // regressed on its home workloads.
-  for (const auto& r : schur_rows) {
-    if (r.degenerate) {
-      std::fprintf(stderr,
-                   "FAIL: BBD partition degenerate on %s size=%d "
-                   "(%zu unknowns)\n",
-                   r.workload.c_str(), r.size, r.unknowns);
-      rc = 1;
-    }
-  }
-  if (telemetry && (schur_fallbacks_delta > 0 || schur_partitions_delta == 0)) {
+  std::printf(
+      "%-18s size=%d unknowns=%zu periods=%g auto=%.2fms sparse=%.2fms "
+      "ratio=%.3f\n",
+      "default_path", default_row.size, default_row.unknowns,
+      default_row.periods, default_row.auto_ms, default_row.sparse_ms,
+      default_row.auto_ms / default_row.sparse_ms);
+  // Gate: the default path never costs more than 10% over the best
+  // explicit one on the largest transient.
+  if (default_row.auto_ms > 1.10 * default_row.sparse_ms) {
     std::fprintf(stderr,
-                 "FAIL: explicit-schur engine transient fell back %llu "
-                 "time(s) (partitions built: %llu)\n",
-                 static_cast<unsigned long long>(schur_fallbacks_delta),
-                 static_cast<unsigned long long>(schur_partitions_delta));
+                 "FAIL: auto (%.2f ms) more than 10%% slower than "
+                 "--solver=sparse (%.2f ms) on table2_modulator size=%d\n",
+                 default_row.auto_ms, default_row.sparse_ms, default_row.size);
+    rc = 1;
+  }
+  for (const auto& r : factor_rows)
+    std::printf("%-18s size=%d unknowns=%zu factor=%.2fms factor_nnz=%zu\n",
+                "factor_scaling", r.size, r.unknowns, r.factor_ms,
+                r.factor_nnz);
+  std::printf("factor_scaling fitted exponent=%.2f\n", factor_exponent);
+  // Gate: the one-time factor grows at most quadratically in size.
+  if (factor_exponent > 2.0) {
+    std::fprintf(stderr,
+                 "FAIL: SparseLu::factor time grows as n^%.2f (> n^2) over "
+                 "the 32-256-section modulator Jacobians\n",
+                 factor_exponent);
     rc = 1;
   }
   if (telemetry) {

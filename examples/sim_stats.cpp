@@ -5,30 +5,28 @@
 // accept/reject/clamp statistics — as a table or JSON.
 //
 //   sim_stats [--json] [--stages=N] [--sections=N] [--periods=P]
-//             [--adaptive] [--solver=dense|sparse|schur|auto]
+//             [--adaptive] [--solver=dense|sparse|auto]
 //             [--engine=event|monolithic]
 //
 // With --engine=event the runs go through the event-driven multi-rate
 // engine (src/event) and the report gains the partition statistics:
 // blocks, block solves vs skips, whole steps skipped, latency ratio.
-// With --solver=schur the report gains the BBD partition statistics
-// (partitions built, blocks, border unknowns, flat-sparse fallbacks).
 //
 // Exit status is nonzero when a run had to accept dt_min-clamped steps
 // above lte_tol (adaptive mode), engaged the dense fallback, or — under
 // the event engine — when partitioning degraded: the circuit collapsed
 // into a single block, or a scoped solve failed to converge and forced
-// a full activation.  With --solver=schur a degenerate partition (no
-// partition built, or a fallback to the flat sparse path) is likewise a
-// nonzero exit: the requested solver did not actually run.
+// a full activation.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "obs/telemetry.hpp"
 #include "si/netlists.hpp"
 #include "spice/dc.hpp"
+#include "spice/mna.hpp"
 #include "spice/transient.hpp"
 
 namespace {
@@ -141,7 +139,6 @@ void print_summary(const RunSummary& s, bool event_engine) {
 int main(int argc, char** argv) {
   bool json = false;
   bool adaptive = false;
-  bool schur_requested = false;
   int stages = 4;
   int sections = 2;
   double periods = 1.0;
@@ -155,10 +152,9 @@ int main(int argc, char** argv) {
       sections = std::atoi(argv[i] + 11);
     else if (std::strncmp(argv[i], "--periods=", 10) == 0)
       periods = std::atof(argv[i] + 10);
-    else if (std::strncmp(argv[i], "--solver=", 9) == 0) {
+    else if (std::strncmp(argv[i], "--solver=", 9) == 0)
       setenv("SI_SOLVER", argv[i] + 9, 1);
-      schur_requested = std::strcmp(argv[i] + 9, "schur") == 0;
-    } else if (std::strcmp(argv[i], "--engine=event") == 0)
+    else if (std::strcmp(argv[i], "--engine=event") == 0)
       engine = TransientEngine::kEvent;
     else if (std::strcmp(argv[i], "--engine=monolithic") == 0)
       engine = TransientEngine::kMonolithic;
@@ -166,10 +162,16 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: sim_stats [--json] [--adaptive] [--stages=N] "
                    "[--sections=N] [--periods=P] "
-                   "[--solver=dense|sparse|schur|auto] "
+                   "[--solver=dense|sparse|auto] "
                    "[--engine=event|monolithic]\n");
       return 2;
     }
+  }
+  try {
+    (void)solver_kind_from_env();  // a bad --solver= value fails here
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "sim_stats: %s\n", e.what());
+    return 2;
   }
   if (stages < 1 || sections < 1 || periods <= 0.0) {
     std::fprintf(stderr, "sim_stats: stages/sections must be >= 1, periods > 0\n");
@@ -188,16 +190,6 @@ int main(int argc, char** argv) {
 
   const RunSummary dl = run_delay_line(stages, periods, adaptive, engine);
   const RunSummary mod = run_modulator(sections, periods, adaptive, engine);
-
-  const std::uint64_t schur_partitions =
-      si::obs::counter("schur.partitions").value();
-  const std::uint64_t schur_blocks = si::obs::counter("schur.blocks").value();
-  const std::uint64_t schur_border =
-      si::obs::counter("schur.border_unknowns").value();
-  const std::uint64_t schur_fallbacks =
-      si::obs::counter("schur.fallbacks").value();
-  const std::uint64_t schur_promotions =
-      si::obs::counter("schur.promotions").value();
 
   if (json) {
     std::printf("{\"runs\": [");
@@ -220,29 +212,10 @@ int main(int argc, char** argv) {
           latency_ratio(*s));
       first = false;
     }
-    std::printf(
-        "], \"schur\": {\"requested\": %s, \"partitions\": %llu, "
-        "\"blocks\": %llu, \"border_unknowns\": %llu, \"fallbacks\": %llu, "
-        "\"promotions\": %llu}, \"telemetry\": %s}\n",
-        schur_requested ? "true" : "false",
-        static_cast<unsigned long long>(schur_partitions),
-        static_cast<unsigned long long>(schur_blocks),
-        static_cast<unsigned long long>(schur_border),
-        static_cast<unsigned long long>(schur_fallbacks),
-        static_cast<unsigned long long>(schur_promotions),
-        si::obs::snapshot_json().c_str());
+    std::printf("], \"telemetry\": %s}\n", si::obs::snapshot_json().c_str());
   } else {
     print_summary(dl, event_engine);
     print_summary(mod, event_engine);
-    if (schur_requested)
-      std::printf(
-          "schur: partitions=%llu blocks=%llu border_unknowns=%llu "
-          "fallbacks=%llu promotions=%llu\n",
-          static_cast<unsigned long long>(schur_partitions),
-          static_cast<unsigned long long>(schur_blocks),
-          static_cast<unsigned long long>(schur_border),
-          static_cast<unsigned long long>(schur_fallbacks),
-          static_cast<unsigned long long>(schur_promotions));
     std::fputs(si::obs::snapshot_table().c_str(), stdout);
   }
 
@@ -255,17 +228,6 @@ int main(int argc, char** argv) {
                  "lte_clamped_steps=%llu\n",
                  static_cast<unsigned long long>(fallbacks),
                  static_cast<unsigned long long>(clamped));
-    return 1;
-  }
-  if (schur_requested && (schur_fallbacks > 0 || schur_partitions == 0)) {
-    // The requested solver did not actually run: either the BBD
-    // partitioner never engaged (no partition built for any engine) or
-    // it surrendered the topology to the flat sparse path.
-    std::fprintf(stderr,
-                 "sim_stats: schur requested but degraded — partitions=%llu, "
-                 "fallbacks=%llu\n",
-                 static_cast<unsigned long long>(schur_partitions),
-                 static_cast<unsigned long long>(schur_fallbacks));
     return 1;
   }
   if (event_engine) {

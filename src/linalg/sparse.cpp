@@ -14,6 +14,105 @@ constexpr std::uint64_t pack(int r, int c) {
          static_cast<std::uint32_t>(c);
 }
 
+/// The row order lu_factor_in_place picks on the dense copy of `a`
+/// permuted symmetrically into the pre-order (`cinv`: original ->
+/// pre-ordered index), found by a right-looking elimination over a
+/// row-wise sparse copy that applies the dense rule step for step (see
+/// DESIGN.md "Pivoting-pass contract").  Returns perm with perm[i] =
+/// pre-ordered row in position i; throws SingularMatrixError with the
+/// pre-ordered column, like the dense code.
+template <typename T>
+std::vector<std::size_t> pivot_row_order(const SparseMatrix<T>& a,
+                                         const std::vector<int>& cinv,
+                                         double pivot_tol) {
+  using Row = std::vector<std::pair<int, T>>;  // (column, value), sorted
+  const SparsePattern& ap = a.pattern();
+  const auto un = static_cast<std::size_t>(ap.dim());
+  std::vector<Row> rows(un);
+  // Rows holding an entry in each column; rows already pivoted stay
+  // listed and are skipped by position.
+  std::vector<std::vector<int>> col_rows(un);
+  double scale = 0.0;
+  for (std::size_t r = 0; r < un; ++r) {
+    const auto pr = static_cast<std::size_t>(cinv[r]);
+    Row& row = rows[pr];
+    for (std::size_t s = ap.row_ptr()[r]; s < ap.row_ptr()[r + 1]; ++s)
+      row.emplace_back(cinv[static_cast<std::size_t>(ap.col_idx()[s])],
+                       a.values()[s]);
+    std::sort(row.begin(), row.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    double sum = 0.0;
+    for (const auto& [c, v] : row) {
+      sum += std::abs(v);
+      col_rows[static_cast<std::size_t>(c)].push_back(static_cast<int>(pr));
+    }
+    if (sum > scale) scale = sum;
+  }
+  const double tol = pivot_tol * (scale > 0 ? scale : 1.0);
+
+  std::vector<std::size_t> perm(un), pos(un);
+  for (std::size_t i = 0; i < un; ++i) perm[i] = pos[i] = i;
+  Row merged;
+  for (std::size_t k = 0; k < un; ++k) {
+    // An unpivoted row has consumed every column before k, so its entry
+    // in column k, if any, is its first.
+    const Row& at_k = rows[perm[k]];
+    std::size_t piv = k;
+    double best =
+        !at_k.empty() && static_cast<std::size_t>(at_k.front().first) == k
+            ? std::abs(at_k.front().second)
+            : 0.0;
+    for (const int r : col_rows[k]) {
+      const std::size_t p = pos[static_cast<std::size_t>(r)];
+      if (p <= k) continue;
+      const double m = std::abs(rows[static_cast<std::size_t>(r)].front().second);
+      if (m > best || (m == best && p < piv)) {
+        best = m;
+        piv = p;
+      }
+    }
+    // A zero pivot is singular whatever pivot_tol is.
+    if (best < tol || best == 0.0) throw SingularMatrixError(k);
+    if (piv != k) {
+      std::swap(perm[k], perm[piv]);
+      pos[perm[k]] = k;
+      pos[perm[piv]] = piv;
+    }
+    Row& prow = rows[perm[k]];
+    const T pivot = prow.front().second;
+    for (const int r : col_rows[k]) {
+      const auto ur = static_cast<std::size_t>(r);
+      if (pos[ur] <= k) continue;
+      Row& row = rows[ur];
+      const T m = row.front().second / pivot;
+      if (m == T{}) {
+        row.erase(row.begin());
+        continue;
+      }
+      merged.clear();
+      auto it = row.begin() + 1;
+      auto jt = prow.begin() + 1;
+      while (it != row.end() || jt != prow.end()) {
+        if (jt == prow.end() || (it != row.end() && it->first < jt->first)) {
+          merged.push_back(*it++);
+        } else if (it == row.end() || jt->first < it->first) {
+          merged.emplace_back(jt->first, T{} - m * jt->second);  // fill
+          col_rows[static_cast<std::size_t>(jt->first)].push_back(r);
+          ++jt;
+        } else {
+          merged.emplace_back(it->first, it->second - m * jt->second);
+          ++it;
+          ++jt;
+        }
+      }
+      row.swap(merged);
+    }
+    Row().swap(prow);
+    std::vector<int>().swap(col_rows[k]);
+  }
+  return perm;
+}
+
 }  // namespace
 
 std::shared_ptr<const SparsePattern> PatternBuilder::build(
@@ -182,34 +281,21 @@ void SparseLu<T>::build_symbolic(const SparseMatrix<T>& a) {
   std::vector<int> cinv(un);
   for (int j = 0; j < n_; ++j) cinv[static_cast<std::size_t>(cp_[j])] = j;
 
-  // 2. Pivoting first factorization on a dense working copy of the
-  //    pre-ordered matrix — fixes the row permutation from real partial
-  //    pivoting, once per topology.  The dense copy is transient.
-  {
-    DenseMatrix<T> m(un, un);
-    for (int r = 0; r < n_; ++r) {
-      const auto pr =
-          static_cast<std::size_t>(cinv[static_cast<std::size_t>(r)]);
-      for (std::size_t s = ap.row_ptr()[static_cast<std::size_t>(r)];
-           s < ap.row_ptr()[static_cast<std::size_t>(r) + 1]; ++s)
-        m(pr, static_cast<std::size_t>(
-                  cinv[static_cast<std::size_t>(ap.col_idx()[s])])) =
-            a.values()[s];
-    }
-    std::vector<std::size_t> pivot_perm;
-    try {
-      lu_factor_in_place(m, pivot_perm, opt_.pivot_tol);
-    } catch (const SingularMatrixError& e) {
-      // Report the ORIGINAL column index, not the position in the
-      // min-degree pre-order — callers (the Schur engine's delayed-pivot
-      // promotion) act on indices in their own numbering.
-      throw SingularMatrixError(
-          static_cast<std::size_t>(cp_[e.column()]));
-    }
-    rp_.resize(un);
-    for (int i = 0; i < n_; ++i)
-      rp_[static_cast<std::size_t>(i)] = cp_[pivot_perm[static_cast<std::size_t>(i)]];
+  // 2. Pivoting first factorization: fixes the row permutation from
+  //    real partial pivoting, once per topology.
+  std::vector<std::size_t> pivot_perm;
+  try {
+    pivot_perm = pivot_row_order(a, cinv, opt_.pivot_tol);
+  } catch (const SingularMatrixError& e) {
+    // Report the ORIGINAL column index, not the position in the
+    // min-degree pre-order, so the error names an unknown of the
+    // caller's system ("singular MNA matrix at pivot column N").
+    throw SingularMatrixError(static_cast<std::size_t>(cp_[e.column()]));
   }
+  rp_.resize(un);
+  for (int i = 0; i < n_; ++i)
+    rp_[static_cast<std::size_t>(i)] =
+        cp_[pivot_perm[static_cast<std::size_t>(i)]];
 
   // 3. Freeze the L+U fill pattern of the permuted matrix.
   fill_ = symbolic_fill(ap, rp_, cp_);
@@ -280,8 +366,7 @@ void SparseLu<T>::refactor_values(const SparseMatrix<T>& a, bool fresh_pivot) {
     // The first numeric pass reuses the values the pivoting pass just
     // accepted, so it applies the (loose) singularity threshold, not
     // the drift threshold: rejecting a pivot partial pivoting chose
-    // moments earlier would be contradictory (BBD interior blocks hold
-    // whole rows at the gmin scale and rightly factor this way).
+    // moments earlier would be contradictory.
     const double scale = rmax > 0 ? rmax : 1.0;
     const double tol =
         (fresh_pivot ? opt_.pivot_tol : opt_.drift_tol) * scale;
@@ -320,9 +405,9 @@ void SparseLu<T>::factor(const SparseMatrix<T>& a) {
   try {
     refactor_values(a, /*fresh_pivot=*/true);
   } catch (const PivotDriftError& e) {
-    // The pivoting dense pass succeeded but the frozen-order numeric
+    // The pivoting pass succeeded but the frozen-order numeric
     // pass hit a tiny pivot (its row-relative drift test is stricter
-    // than the dense pass's global threshold): treat as singular for
+    // than the pivoting pass's global threshold): treat as singular for
     // this topology, reporting the original column index.
     throw SingularMatrixError(static_cast<std::size_t>(cp_[e.row()]));
   }
@@ -365,51 +450,6 @@ void SparseLu<T>::solve(const std::vector<T>& b, std::vector<T>& x) const {
   x.resize(un);
   for (std::size_t j = 0; j < un; ++j)
     x[static_cast<std::size_t>(cp_[j])] = ywork_[j];
-}
-
-template <typename T>
-void SparseLu<T>::solve_multi(const std::vector<T>& b, std::vector<T>& x,
-                              std::size_t k) const {
-  const auto un = static_cast<std::size_t>(n_);
-  if (!factored_)
-    throw std::logic_error("SparseLu::solve_multi before factor");
-  if (b.size() != un * k)
-    throw std::invalid_argument("SparseLu::solve_multi: size mismatch");
-  const auto& frp = fill_->row_ptr();
-  const auto& fci = fill_->col_idx();
-  mwork_.resize(un * k);
-  T* y = mwork_.data();
-  // Forward-substitute L Y = (row-permuted) B, all lanes per row.
-  for (std::size_t i = 0; i < un; ++i) {
-    T* yi = y + i * k;
-    const T* bi = b.data() + static_cast<std::size_t>(rp_[i]) * k;
-    for (std::size_t l = 0; l < k; ++l) yi[l] = bi[l];
-    for (std::size_t s = frp[i]; s < urow_start_[i]; ++s) {
-      const T f = fvals_[s];
-      if (f == T{}) continue;
-      const T* yj = y + static_cast<std::size_t>(fci[s]) * k;
-      for (std::size_t l = 0; l < k; ++l) yi[l] -= f * yj[l];
-    }
-  }
-  // Back-substitute U Z = Y.
-  for (std::size_t ii = un; ii-- > 0;) {
-    T* yi = y + ii * k;
-    for (std::size_t s = urow_start_[ii] + 1; s < frp[ii + 1]; ++s) {
-      const T f = fvals_[s];
-      if (f == T{}) continue;
-      const T* yj = y + static_cast<std::size_t>(fci[s]) * k;
-      for (std::size_t l = 0; l < k; ++l) yi[l] -= f * yj[l];
-    }
-    const T d = diag_inv_[ii];
-    for (std::size_t l = 0; l < k; ++l) yi[l] *= d;
-  }
-  // Un-permute columns: X[cp_[j], :] = Z[j, :].
-  x.resize(un * k);
-  for (std::size_t j = 0; j < un; ++j) {
-    const T* yj = y + j * k;
-    T* xj = x.data() + static_cast<std::size_t>(cp_[j]) * k;
-    for (std::size_t l = 0; l < k; ++l) xj[l] = yj[l];
-  }
 }
 
 template class SparseLu<double>;

@@ -245,7 +245,7 @@ class SparseMatrix {
 /// Tie-break contract: among nodes of equal minimum degree the LOWEST
 /// original index is eliminated first.  This is part of the API — the
 /// ordering (and everything derived from it: factor fill patterns,
-/// pivot sequences, BBD partitions) must be reproducible across
+/// pivot sequences) must be reproducible across
 /// platforms and STL implementations, never dependent on hash or
 /// allocation order.  Pinned by SparseOrdering.MinDegreeTieBreak.
 std::vector<int> min_degree_order(const SparsePattern& p);
@@ -276,7 +276,7 @@ class SparseLu {
   explicit SparseLu(Options opt = {}) : opt_(opt) {}
 
   /// Full factorization: chooses the column pre-order and row pivot
-  /// order (partial pivoting on a dense working copy, once per
+  /// order (partial pivoting by a sparse elimination pass, once per
   /// topology), freezes the fill pattern, then factors numerically.
   /// Throws SingularMatrixError if the matrix is singular; the error's
   /// column() is in the caller's (unpermuted) column numbering.
@@ -293,18 +293,14 @@ class SparseLu {
   /// warm).  Any number of right-hand sides per factorization.
   void solve(const std::vector<T>& b, std::vector<T>& x) const;
 
-  /// Solves A X = B for `k` right-hand sides in ONE sweep over the
-  /// factor.  `b` and `x` are row-major n x k — the k lanes of a row
-  /// are contiguous (entry (i, lane) at i*k + lane) — so the sweep
-  /// decodes each factor entry once and applies it to every lane.  Lane
-  /// `l` of the result is bit-identical to solve() on column `l` alone.
-  /// `x` is resized; no allocation once the lane workspace is warm.
-  void solve_multi(const std::vector<T>& b, std::vector<T>& x,
-                   std::size_t k) const;
-
   /// Nonzeros in the frozen L+U pattern (symbolic fill), for stats.
   std::size_t factor_nnz() const { return fvals_.size(); }
   std::size_t symbolic_builds() const { return symbolic_builds_; }
+
+  /// Row order of the last factor(): factored row i is original row
+  /// row_order()[i].  Fixed by the pivoting pass, which picks the rows
+  /// lu_factor_in_place would on the dense pre-ordered matrix.
+  const std::vector<int>& row_order() const { return rp_; }
 
  private:
   void build_symbolic(const SparseMatrix<T>& a);
@@ -333,7 +329,6 @@ class SparseLu {
   // Preallocated workspaces.
   mutable std::vector<T> work_;
   mutable std::vector<T> ywork_;
-  mutable std::vector<T> mwork_;  // solve_multi lanes, n * k once warm
 };
 
 using SparseMatrixD = SparseMatrix<double>;

@@ -166,12 +166,17 @@ void NetServer::serve_connection(std::shared_ptr<Connection> conn) {
 
 void NetServer::stop() {
   if (stopping_.exchange(true)) return;
+  // shutdown() wakes the blocked accept() and fails every later one, so
+  // the accept thread exits.  Only once it is joined may the fd be
+  // closed and reset: closing first lets an EINTR retry accept() on a
+  // recycled fd number, and writing listen_fd_ while accept_loop reads
+  // it is a data race.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   std::vector<std::shared_ptr<Connection>> conns;
   std::vector<std::thread> threads;

@@ -43,10 +43,9 @@ TEST(SolverSelect, AutoUsesSizeThreshold) {
             SolverKind::kDense);
   EXPECT_EQ(resolve_solver(SolverKind::kAuto, kSparseAutoThreshold),
             SolverKind::kSparse);
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, kSchurAutoThreshold - 1),
-            SolverKind::kSparse);
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, kSchurAutoThreshold),
-            SolverKind::kSchur);
+  // One sparse solver at every size: the 128-section modulator core
+  // (2178 unknowns) stays on flat sparse.
+  EXPECT_EQ(resolve_solver(SolverKind::kAuto, 2178), SolverKind::kSparse);
 }
 
 TEST(SolverSelect, ExplicitRequestWins) {
@@ -54,6 +53,8 @@ TEST(SolverSelect, ExplicitRequestWins) {
   setenv("SI_SOLVER", "sparse", 1);
   EXPECT_EQ(resolve_solver(SolverKind::kDense, 1000), SolverKind::kDense);
   EXPECT_EQ(resolve_solver(SolverKind::kSparse, 2), SolverKind::kSparse);
+  // The retired Schur spelling resolves to flat sparse.
+  EXPECT_EQ(resolve_solver(SolverKind::kSchur, 2), SolverKind::kSparse);
 }
 
 TEST(SolverSelect, EnvOverridesAuto) {
@@ -62,8 +63,6 @@ TEST(SolverSelect, EnvOverridesAuto) {
   EXPECT_EQ(resolve_solver(SolverKind::kAuto, 2), SolverKind::kSparse);
   setenv("SI_SOLVER", "dense", 1);
   EXPECT_EQ(resolve_solver(SolverKind::kAuto, 1000), SolverKind::kDense);
-  setenv("SI_SOLVER", "schur", 1);
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, 2), SolverKind::kSchur);
   setenv("SI_SOLVER", "auto", 1);
   EXPECT_EQ(resolve_solver(SolverKind::kAuto, 2), SolverKind::kDense);
   setenv("SI_SOLVER", "", 1);
@@ -82,9 +81,14 @@ TEST(SolverSelect, RejectsUnknownEnvValues) {
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("sprase"), std::string::npos) << msg;
-    for (const char* valid : {"auto", "dense", "sparse", "schur"})
+    for (const char* valid : {"auto", "dense", "sparse"})
       EXPECT_NE(msg.find(valid), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("schur"), std::string::npos) << msg;
   }
+  // The Schur solver is gone; its old spelling is now a typo like any
+  // other.
+  setenv("SI_SOLVER", "schur", 1);
+  EXPECT_THROW((void)solver_kind_from_env(), std::invalid_argument);
   setenv("SI_SOLVER", "bogus", 1);
   EXPECT_THROW((void)resolve_solver(SolverKind::kAuto, 2),
                std::invalid_argument);

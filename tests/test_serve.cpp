@@ -1,8 +1,9 @@
 // Tests for the simulation service: the JSON codec, the request
-// protocol (validation, cache keys), and the JobServer lifecycle —
+// protocol (validation, cache keys), the JobServer lifecycle —
 // admission control, deadlines, cancellation, draining shutdown, the
 // shared result memo, and the one-reply-per-submit guarantee under
-// deliberately hostile request streams.
+// deliberately hostile request streams — and the NetServer listener's
+// start/stop lifecycle.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +14,14 @@
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include "serve/job_server.hpp"
 #include "serve/json.hpp"
+#include "serve/net_server.hpp"
 #include "serve/protocol.hpp"
 
 namespace {
@@ -150,10 +157,25 @@ std::string op_deck(int variant) {
   return ss.str();
 }
 
-// A transient long enough to be mid-flight when a deadline or a cancel
-// lands (tens of thousands of accepted steps on this cell).
+// A transient that is still mid-flight when a deadline or a cancel
+// lands, on any host: the cell plus 31 copies, each copy driven by its
+// own sine so its block never goes latent, over 200k steps — seconds
+// of Newton work, against the tens of milliseconds the tests wait.  The
+// step count stays moderate because Transient reserves t_stop/dt
+// points up front.
 std::string slow_tran_deck() {
-  return std::string(kCellCards) + ".tran 5n 500u\n.probe v(d)\n";
+  std::ostringstream ss;
+  ss << kCellCards;
+  for (int k = 1; k < 32; ++k)
+    ss << "MN" << k << " d" << k << " gn" << k << " 0 nmem W=10u L=2u\n"
+       << "MP" << k << " d" << k << " gp" << k << " vdd pmem W=25u L=2u\n"
+       << "SN" << k << " gn" << k << " d" << k
+       << " PULSE(0 3.3 0 10n 10n 480n 1u) 1k 1g\n"
+       << "SP" << k << " gp" << k << " d" << k
+       << " PULSE(0 3.3 0 10n 10n 480n 1u) 1k 1g\n"
+       << "I" << k << " 0 d" << k << " SIN(8u 2u " << 37 + k << "k)\n";
+  ss << ".tran 5n 1m\n.probe v(d)\n";
+  return ss.str();
 }
 
 std::string request_line(const std::string& id, const std::string& deck) {
@@ -287,8 +309,14 @@ TEST(JobServer, DeadlineExpiresMidTransient) {
           .count();
   EXPECT_EQ(status_of(reply), "timeout");
   EXPECT_EQ(error_kind(reply), "timeout");
-  // The Newton checkpoint fires every iteration, so the unwind is far
-  // faster than finishing the 100k-step transient would be.
+  // The job started in time and the Newton checkpoint unwound it: the
+  // message is the solver's, not the queue's "deadline expired before
+  // execution".
+  const Json* err = reply.find("error");
+  ASSERT_NE(err, nullptr);
+  EXPECT_EQ(err->find("message")->as_string(), "deadline expired");
+  // The checkpoint fires every Newton iteration, so the unwind is far
+  // faster than finishing the 200k-step transient would be.
   EXPECT_LT(waited_ms, 10000.0);
   EXPECT_EQ(server.stats().timed_out, 1u);
 }
@@ -428,6 +456,39 @@ TEST(JobServer, StatsJsonExposesCountersAndCache) {
   ASSERT_NE(cache, nullptr);
   EXPECT_NE(cache->find("hits"), nullptr);
   EXPECT_NE(cache->find("capacity"), nullptr);
+}
+
+// ------------------------------------------------------------- network
+
+// Connects to the loopback listener on `port`; -1 on failure.
+int connect_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(NetServer, StartConnectStopLoopIsRaceFree) {
+  // Each round has the accept thread take a connection and go back to
+  // accept() on the listener while stop() tears it down.  stop() must
+  // shut the listener down, join the accept thread, and only then close
+  // and reset the fd (ThreadSanitizer flags the reverse order).
+  JobServer jobs;
+  for (int round = 0; round < 20; ++round) {
+    NetServer net(jobs);
+    const int fd = connect_loopback(net.port());
+    ASSERT_GE(fd, 0) << "round " << round;
+    net.stop();
+    net.stop();  // idempotent
+    ::close(fd);
+  }
 }
 
 }  // namespace

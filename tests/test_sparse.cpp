@@ -1,7 +1,9 @@
 // Sparse pattern / sparse LU unit tests: randomized dense-vs-sparse
 // equivalence on MNA-shaped and SPD matrices (real and complex),
 // refactor reuse, pivot drift, singular-matrix parity with the dense
-// path, and the slot-memo replay used by pattern-cached stamping.
+// path, the slot-memo replay used by pattern-cached stamping, and the
+// pivot oracle: SparseLu's pivoting pass must pick exactly the rows the
+// dense partial-pivoting code picks.
 #include <gtest/gtest.h>
 
 #include <complex>
@@ -9,6 +11,8 @@
 
 #include "linalg/lu.hpp"
 #include "linalg/sparse.hpp"
+#include "si/netlists.hpp"
+#include "spice/dc.hpp"
 
 using namespace si::linalg;
 using cplx = std::complex<double>;
@@ -381,5 +385,190 @@ TEST(SparseLu, SolveIsReusableAcrossManyRhs) {
     for (auto& v : b) v = random_value<cplx>(rng);
     lu.solve(b, x);
     EXPECT_LT(rel_err(x, dense.solve(b)), 1e-12);
+  }
+}
+
+// ------------------------------------------------------- pivot oracle
+
+namespace {
+
+/// Asserts SparseLu pivots `a` exactly as lu_factor_in_place does on
+/// the dense copy in the min-degree pre-order: the same original row in
+/// every factored position, or a SingularMatrixError at the same
+/// original column.  Returns whether the matrix factored.
+template <typename T>
+bool expect_dense_pivot_order(const SparseMatrix<T>& a,
+                              const std::string& what) {
+  const SparsePattern& p = a.pattern();
+  const auto cp = min_degree_order(p);
+  const auto n = static_cast<std::size_t>(p.dim());
+  std::vector<std::size_t> cinv(n);
+  for (std::size_t j = 0; j < n; ++j) cinv[static_cast<std::size_t>(cp[j])] = j;
+  DenseMatrix<T> m(n, n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t s = p.row_ptr()[r]; s < p.row_ptr()[r + 1]; ++s)
+      m(cinv[r], cinv[static_cast<std::size_t>(p.col_idx()[s])]) =
+          a.values()[s];
+  std::vector<std::size_t> perm;
+  SparseLu<T> lu;
+  try {
+    lu_factor_in_place(m, perm);
+  } catch (const SingularMatrixError& dense) {
+    try {
+      lu.factor(a);
+      ADD_FAILURE() << what << ": the dense code finds the matrix singular";
+    } catch (const SingularMatrixError& e) {
+      EXPECT_EQ(e.column(), static_cast<std::size_t>(cp[dense.column()]))
+          << what;
+    }
+    return false;
+  }
+  lu.factor(a);
+  std::vector<int> want(n);
+  for (std::size_t i = 0; i < n; ++i) want[i] = cp[perm[i]];
+  EXPECT_EQ(lu.row_order(), want) << what;
+  return true;
+}
+
+/// A random square matrix over a random pattern whose values all have
+/// magnitude 1 or 2, so every pivot search meets exact ties.
+SparseMatrix<double> tied_magnitude_matrix(int n, double density,
+                                           std::mt19937& rng) {
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  PatternBuilder b(n);
+  for (int r = 0; r < n; ++r)
+    for (int c = 0; c < n; ++c)
+      if (u(rng) < density) b.add(r, c);
+  SparseMatrix<double> a(b.build(/*symmetrize=*/false));
+  // Some pattern entries (the diagonal included) stay zero, so pivots
+  // have to come from off the diagonal.
+  for (auto& v : a.values())
+    v = u(rng) < 0.2 ? 0.0 : (u(rng) < 0.5 ? -1.0 : 1.0) * (u(rng) < 0.5 ? 1.0 : 2.0);
+  return a;
+}
+
+}  // namespace
+
+TEST(SparsePivotOracle, ExactMagnitudeTiesBreakToLowestPosition) {
+  // A 4x4 Hadamard matrix: every candidate of the first column ties at
+  // 1, and elimination leaves ties at 0 and 2.
+  {
+    PatternBuilder b(4);
+    for (int r = 0; r < 4; ++r)
+      for (int c = 0; c < 4; ++c) b.add(r, c);
+    SparseMatrix<double> a(b.build());
+    const double v[4][4] = {
+        {1, 1, 1, 1}, {1, -1, 1, -1}, {1, 1, -1, -1}, {1, -1, -1, 1}};
+    for (int r = 0; r < 4; ++r)
+      for (int c = 0; c < 4; ++c) a.add(r, c, v[r][c]);
+    EXPECT_TRUE(expect_dense_pivot_order(a, "Hadamard matrix"));
+  }
+  std::mt19937 rng(2024);
+  int factored = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto a = tied_magnitude_matrix(6 + trial % 20, 0.3, rng);
+    factored += expect_dense_pivot_order(a, "tied trial " +
+                                                std::to_string(trial));
+  }
+  EXPECT_GT(factored, 20) << "too few nonsingular trials to mean much";
+}
+
+TEST(SparsePivotOracle, StructurallyMissingDiagonal) {
+  // A cyclic permutation: the only entry of every column is off the
+  // diagonal, so each step pivots a row the pre-order did not put there.
+  {
+    PatternBuilder b(4);
+    for (int r = 0; r < 4; ++r) b.add(r, (r + 1) % 4);
+    SparseMatrix<double> a(b.build(/*symmetrize=*/false));
+    for (int r = 0; r < 4; ++r) a.add(r, (r + 1) % 4, 1.0 + r);
+    EXPECT_TRUE(expect_dense_pivot_order(a, "cyclic permutation"));
+  }
+  // MNA systems whose voltage-source branch rows have no diagonal.
+  for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+    std::mt19937 rng(seed);
+    const int nodes = 8 + 2 * static_cast<int>(seed);
+    const int branches = 1 + static_cast<int>(seed % 5);
+    const auto sys = random_mna_pattern(nodes, branches, rng);
+    const auto a = random_mna_values<double>(sys, nodes, rng);
+    EXPECT_TRUE(expect_dense_pivot_order(a, "mna seed " +
+                                                std::to_string(seed)));
+  }
+}
+
+TEST(SparsePivotOracle, ComplexMatrices) {
+  for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+    std::mt19937 rng(100 + seed);
+    const int nodes = 10 + 3 * static_cast<int>(seed);
+    const int branches = static_cast<int>(seed % 4);
+    const auto sys = random_mna_pattern(nodes, branches, rng);
+    const auto a = random_mna_values<cplx>(sys, nodes, rng);
+    EXPECT_TRUE(expect_dense_pivot_order(a, "complex seed " +
+                                                std::to_string(seed)));
+  }
+}
+
+TEST(SparsePivotOracle, SingularMatrixThrowsForTheSameColumn) {
+  int singular = 0;
+  for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+    std::mt19937 rng(200 + seed);
+    const int nodes = 10 + static_cast<int>(seed);
+    const auto sys = random_mna_pattern(nodes, 2, rng);
+    auto a = random_mna_values<double>(sys, nodes, rng);
+    // Zero one node's whole row: singular, at a column the pre-order
+    // decides.
+    const auto dead = static_cast<std::size_t>(seed % static_cast<std::uint32_t>(nodes));
+    const auto& rp = sys.pattern->row_ptr();
+    for (std::size_t s = rp[dead]; s < rp[dead + 1]; ++s) a.values()[s] = 0.0;
+    singular += !expect_dense_pivot_order(a, "zero row seed " +
+                                                 std::to_string(seed));
+  }
+  EXPECT_EQ(singular, 12);
+}
+
+namespace {
+
+namespace nets = si::cells::netlists;
+
+/// The transient-mode Jacobian of the Table 2 modulator core at its DC
+/// operating point: the matrix the engine factors on the paper's
+/// largest transistor-level circuit.
+SparseMatrixD modulator_jacobian(int sections) {
+  si::spice::Circuit c;
+  c.add<si::spice::VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
+  nets::ModulatorCoreOptions opt;
+  const auto h = nets::build_modulator_core(c, sections, opt, "mod_");
+  c.add<si::spice::CurrentSource>("Iinp", c.ground(), h.in_p, 4e-6);
+  c.add<si::spice::CurrentSource>("Iinm", c.ground(), h.in_m, -4e-6);
+  si::spice::DcOptions dopt;
+  dopt.erc_gate = false;
+  const auto dc = si::spice::dc_operating_point(c, dopt);
+  si::spice::StampContext ctx;
+  ctx.mode = si::spice::AnalysisMode::kTransient;
+  ctx.dt = opt.stage.pair.clock_period / 200.0;
+  const auto n = c.system_size();
+  si::linalg::Vector b(n, 0.0);
+  PatternBuilder pb(static_cast<int>(n));
+  {
+    si::spice::RealStamper rec(c, pb, b, dc.x);
+    for (const auto& e : c.elements()) e->stamp(rec, ctx);
+  }
+  SparseMatrixD a(pb.build());
+  {
+    si::spice::RealStamper rs(c, a, b, dc.x);
+    for (const auto& e : c.elements()) e->stamp(rs, ctx);
+  }
+  for (std::size_t i = 0; i < c.node_count() - 1; ++i)
+    a.values()[static_cast<std::size_t>(a.pattern().diag_slots()[i])] +=
+        ctx.gmin;
+  return a;
+}
+
+}  // namespace
+
+TEST(SparsePivotOracle, ModulatorJacobians) {
+  for (int sections : {8, 32, 128}) {
+    const auto a = modulator_jacobian(sections);
+    EXPECT_TRUE(expect_dense_pivot_order(
+        a, std::to_string(sections) + "-section modulator"));
   }
 }
