@@ -25,7 +25,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -242,117 +241,6 @@ BENCHMARK(BM_VerifyModulator)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Dense-vs-sparse MNA solver benchmarks on the paper's two transistor-level
-// workloads: the Table 1 delay-line chain and the Table 2 modulator core.
-// ---------------------------------------------------------------------------
-
-/// Builds and runs a Table 1 delay-line chain transient; returns the
-/// system size.  Solver selection follows SI_SOLVER / auto.
-std::size_t run_chain_transient(int n_stages, double periods) {
-  namespace nets = si::cells::netlists;
-  si::spice::Circuit c;
-  c.add<si::spice::VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
-  nets::DelayStageOptions opt;
-  const auto h = nets::build_delay_line_chain(c, n_stages, opt, "dl_");
-  const double T = opt.pair.clock_period;
-  c.add<si::spice::CurrentSource>(
-      "Iin", c.ground(), h.in,
-      std::make_unique<si::spice::SineWave>(0.0, 5e-6, 1.0 / (8.0 * T)));
-  si::spice::TransientOptions topt;
-  topt.t_stop = periods * T;
-  topt.dt = T / 200.0;
-  topt.erc_gate = false;
-  si::spice::Transient tr(c, topt);
-  tr.probe_voltage(c.node_name(h.out));
-  auto r = tr.run();
-  benchmark::DoNotOptimize(r.time.data());
-  return c.system_size();
-}
-
-/// Builds and runs a Table 2 modulator-core transient; returns the
-/// system size.
-std::size_t run_modulator_transient(int sections, double periods) {
-  namespace nets = si::cells::netlists;
-  si::spice::Circuit c;
-  c.add<si::spice::VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
-  nets::ModulatorCoreOptions opt;
-  const auto h = nets::build_modulator_core(c, sections, opt, "mod_");
-  const double T = opt.stage.pair.clock_period;
-  c.add<si::spice::CurrentSource>(
-      "Iinp", c.ground(), h.in_p,
-      std::make_unique<si::spice::SineWave>(0.0, 4e-6, 1.0 / (8.0 * T)));
-  c.add<si::spice::CurrentSource>(
-      "Iinm", c.ground(), h.in_m,
-      std::make_unique<si::spice::SineWave>(0.0, -4e-6, 1.0 / (8.0 * T)));
-  si::spice::TransientOptions topt;
-  topt.t_stop = periods * T;
-  topt.dt = T / 200.0;
-  topt.erc_gate = false;
-  si::spice::Transient tr(c, topt);
-  tr.probe_voltage(c.node_name(h.out_p));
-  auto r = tr.run();
-  benchmark::DoNotOptimize(r.time.data());
-  return c.system_size();
-}
-
-/// Forces SI_SOLVER for the benchmark's duration.
-class SolverEnv {
- public:
-  explicit SolverEnv(const char* kind) {
-    if (const char* v = std::getenv("SI_SOLVER")) saved_ = v;
-    setenv("SI_SOLVER", kind, 1);
-  }
-  explicit SolverEnv(int kind) : SolverEnv(kind ? "sparse" : "dense") {}
-  ~SolverEnv() {
-    if (saved_.empty())
-      unsetenv("SI_SOLVER");
-    else
-      setenv("SI_SOLVER", saved_.c_str(), 1);
-  }
-
- private:
-  std::string saved_;
-};
-
-void BM_SolverChainTransient(benchmark::State& state) {
-  SolverEnv env(static_cast<int>(state.range(1)));
-  std::size_t n = 0;
-  for (auto _ : state) n = run_chain_transient(static_cast<int>(state.range(0)), 1.0);
-  state.counters["unknowns"] = static_cast<double>(n);
-  state.SetLabel(state.range(1) ? "sparse" : "dense");
-}
-BENCHMARK(BM_SolverChainTransient)
-    ->ArgsProduct({{2, 4, 8}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SolverModulatorTransient(benchmark::State& state) {
-  SolverEnv env(static_cast<int>(state.range(1)));
-  std::size_t n = 0;
-  for (auto _ : state)
-    n = run_modulator_transient(static_cast<int>(state.range(0)), 0.5);
-  state.counters["unknowns"] = static_cast<double>(n);
-  state.SetLabel(state.range(1) ? "sparse" : "dense");
-}
-BENCHMARK(BM_SolverModulatorTransient)
-    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// --quick mode: hand-timed dense-vs-sparse table written to
-// BENCH_solvers.json, with a regression gate — sparse must not be slower
-// than dense on the largest Table 2 modulator netlist.  Used by the CI
-// benchmark smoke lane.
-// ---------------------------------------------------------------------------
-
-struct QuickRow {
-  std::string workload;
-  int size = 0;
-  std::size_t unknowns = 0;
-  double dense_ms = 0.0;
-  double sparse_ms = 0.0;
-};
-
-// ---------------------------------------------------------------------------
 // Event-vs-monolithic engine rows.  Two workload families:
 //  * event_modulator_sweep — the OSR-64 modulator (input sine at
 //    f_clk / 128) across sizes; the event engine must not lose to the
@@ -533,64 +421,15 @@ McBatchRow time_mc_batch_row(int sections, unsigned threads, int runs) {
   return r;
 }
 
-double time_ms(int kind, const std::function<std::size_t()>& run,
-               std::size_t* unknowns) {
-  SolverEnv env(kind);
-  *unknowns = run();  // warm-up (also reports the system size)
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    run();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  return best;
-}
-
 // ---------------------------------------------------------------------------
-// Sparse-solver rows, two gates:
-//  * default_path — the 128-section modulator transient (2178 unknowns)
-//    on the default `auto` path must be at most 10% slower than with an
-//    explicit SI_SOLVER=sparse.  This is the rule that would have caught
-//    the retired auto-engaged BBD/Schur path, 3.2x slower end to end.
-//  * factor_scaling — the one-time SparseLu::factor (ordering, pivoting
-//    pass, symbolic fill, first numeric factor) on the transient
-//    Jacobian of the 32/64/128/256-section cores (546-4354 unknowns).
-//    The time-vs-size exponent fitted over the best of kFactorReps runs
-//    per size must stay <= 2.0.
+// factor_scaling — the one-time SparseLu::factor (ordering, pivoting
+// pass, symbolic fill, first numeric factor) on the transient Jacobian of
+// the 32/64/128/256-section cores (546-4354 unknowns).  The time-vs-size
+// exponent fitted over the best of kFactorReps runs per size must stay
+// <= 2.0.
 // ---------------------------------------------------------------------------
 
 constexpr int kFactorReps = 5;
-
-struct DefaultPathRow {
-  int size = 0;
-  double periods = 0.0;
-  std::size_t unknowns = 0;
-  double auto_ms = 0.0;
-  double sparse_ms = 0.0;
-};
-
-DefaultPathRow time_default_path_row(int sections, double periods) {
-  DefaultPathRow r;
-  r.size = sections;
-  r.periods = periods;
-  auto run = [&] { r.unknowns = run_modulator_transient(sections, periods); };
-  // Interleaved best-of-4, like the Monte-Carlo rows: a host-wide
-  // slowdown hits both paths about equally, and the minimum drops the
-  // cold first pass.
-  r.auto_ms = r.sparse_ms = 1e300;
-  for (int rep = 0; rep < 4; ++rep) {
-    {
-      SolverEnv env("auto");
-      r.auto_ms = std::min(r.auto_ms, 1e3 * time_once(run));
-    }
-    {
-      SolverEnv env("sparse");
-      r.sparse_ms = std::min(r.sparse_ms, 1e3 * time_once(run));
-    }
-  }
-  return r;
-}
 
 /// The transient-mode MNA Jacobian of the Table 2 modulator core at its
 /// DC operating point: the system the engine factors once per topology.
@@ -663,31 +502,14 @@ double fitted_exponent(const std::vector<FactorRow>& rows) {
   return (k * sxy - sx * sy) / (k * sxx - sx * sx);
 }
 
+// --quick mode: the hand-timed event, verify, Monte-Carlo and
+// factor-scaling rows written to BENCH_solvers.json, each with its
+// regression gate.  Used by the CI benchmark smoke lane.
 int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
   if (telemetry) {
     si::obs::set_enabled(true);
     si::obs::reset();
   }
-  std::vector<QuickRow> rows;
-  for (int stages : {2, 4, 8}) {
-    QuickRow r;
-    r.workload = "table1_delay_line";
-    r.size = stages;
-    auto run = [stages] { return run_chain_transient(stages, 1.0); };
-    r.dense_ms = time_ms(0, run, &r.unknowns);
-    r.sparse_ms = time_ms(1, run, &r.unknowns);
-    rows.push_back(r);
-  }
-  for (int sections : {1, 2, 4, 8}) {
-    QuickRow r;
-    r.workload = "table2_modulator";
-    r.size = sections;
-    auto run = [sections] { return run_modulator_transient(sections, 0.5); };
-    r.dense_ms = time_ms(0, run, &r.unknowns);
-    r.sparse_ms = time_ms(1, run, &r.unknowns);
-    rows.push_back(r);
-  }
-
   // Event-engine rows: the OSR-64 sweep always runs; the 1e4-period
   // DC-hold headline only with --long (it takes tens of seconds).
   std::vector<EventRow> event_rows;
@@ -734,25 +556,14 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
     for (unsigned threads : {1u, 2u, 4u, 8u})
       mc_rows.push_back(time_mc_batch_row(sections, threads, /*runs=*/64));
 
-  // Sparse-solver rows: the default path against explicit sparse on
-  // the 128-section transient, and the one-time factor across sizes.
-  const DefaultPathRow default_row = time_default_path_row(128, 0.25);
+  // The one-time sparse factor across sizes.
   std::vector<FactorRow> factor_rows;
   for (int sections : {32, 64, 128, 256})
     factor_rows.push_back(time_factor_row(sections));
   const double factor_exponent = fitted_exponent(factor_rows);
 
   std::ofstream os(out_path);
-  os << "{\n  \"solver_bench\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    os << "    {\"workload\": \"" << r.workload << "\", \"size\": " << r.size
-       << ", \"unknowns\": " << r.unknowns << ", \"dense_ms\": " << r.dense_ms
-       << ", \"sparse_ms\": " << r.sparse_ms
-       << ", \"speedup\": " << r.dense_ms / r.sparse_ms << "}"
-       << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"event_bench\": [\n";
+  os << "{\n  \"event_bench\": [\n";
   for (std::size_t i = 0; i < event_rows.size(); ++i) {
     const auto& r = event_rows[i];
     os << "    {\"workload\": \"" << r.workload << "\", \"size\": " << r.size
@@ -786,14 +597,6 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
        << ", \"speedup_vs_rebuild\": " << r.scalar_tps / r.rebuild_tps << "}"
        << (i + 1 < mc_rows.size() ? "," : "") << "\n";
   }
-  os << "  ],\n  \"default_path\": [\n";
-  os << "    {\"workload\": \"table2_modulator\", \"size\": "
-     << default_row.size << ", \"periods\": " << default_row.periods
-     << ", \"unknowns\": " << default_row.unknowns
-     << ", \"auto_ms\": " << default_row.auto_ms
-     << ", \"sparse_ms\": " << default_row.sparse_ms
-     << ", \"ratio\": " << default_row.auto_ms / default_row.sparse_ms
-     << "}\n";
   os << "  ],\n  \"factor_scaling\": [\n";
   for (std::size_t i = 0; i < factor_rows.size(); ++i) {
     const auto& r = factor_rows[i];
@@ -806,27 +609,13 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
   os << "  ],\n  \"factor_exponent\": " << factor_exponent;
   if (telemetry) {
     // Merge the solver telemetry snapshot: factor/refactor counts,
-    // fallback engagements, step stats for the whole quick suite.
+    // pattern misses, step stats for the whole quick suite.
     os << ",\n  \"telemetry\": " << si::obs::snapshot_json();
   }
   os << "\n}\n";
   os.close();
 
   int rc = 0;
-  for (const auto& r : rows) {
-    std::printf("%-18s size=%d unknowns=%zu dense=%.2fms sparse=%.2fms speedup=%.2fx\n",
-                r.workload.c_str(), r.size, r.unknowns, r.dense_ms, r.sparse_ms,
-                r.dense_ms / r.sparse_ms);
-  }
-  // Gate: the largest modulator netlist must not regress.
-  const auto& gate = rows.back();
-  if (gate.sparse_ms > gate.dense_ms) {
-    std::fprintf(stderr,
-                 "FAIL: sparse (%.2f ms) slower than dense (%.2f ms) on "
-                 "table2_modulator size=%d\n",
-                 gate.sparse_ms, gate.dense_ms, gate.size);
-    rc = 1;
-  }
   double sweep_mono_ms = 0.0;
   double sweep_event_ms = 0.0;
   for (const auto& r : event_rows) {
@@ -907,21 +696,6 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
                  sweep_event_ms, sweep_mono_ms);
     rc = 1;
   }
-  std::printf(
-      "%-18s size=%d unknowns=%zu periods=%g auto=%.2fms sparse=%.2fms "
-      "ratio=%.3f\n",
-      "default_path", default_row.size, default_row.unknowns,
-      default_row.periods, default_row.auto_ms, default_row.sparse_ms,
-      default_row.auto_ms / default_row.sparse_ms);
-  // Gate: the default path never costs more than 10% over the best
-  // explicit one on the largest transient.
-  if (default_row.auto_ms > 1.10 * default_row.sparse_ms) {
-    std::fprintf(stderr,
-                 "FAIL: auto (%.2f ms) more than 10%% slower than "
-                 "--solver=sparse (%.2f ms) on table2_modulator size=%d\n",
-                 default_row.auto_ms, default_row.sparse_ms, default_row.size);
-    rc = 1;
-  }
   for (const auto& r : factor_rows)
     std::printf("%-18s size=%d unknowns=%zu factor=%.2fms factor_nnz=%zu\n",
                 "factor_scaling", r.size, r.unknowns, r.factor_ms,
@@ -937,15 +711,15 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
   }
   if (telemetry) {
     std::fputs(si::obs::snapshot_table().c_str(), stdout);
-    // Gate: the parity workloads stamp inside the discovered pattern by
-    // contract, so any dense-fallback engagement is a regression.
-    const std::uint64_t fallbacks =
-        si::obs::counter("mna.dense_fallback_engaged").value();
-    if (fallbacks > 0) {
+    // Gate: every workload here stamps inside its discovered pattern by
+    // contract, so any pattern miss is a regression.
+    const std::uint64_t misses =
+        si::obs::counter("mna.pattern_misses").value();
+    if (misses > 0) {
       std::fprintf(stderr,
-                   "FAIL: dense fallback engaged %llu time(s) on the parity "
-                   "suite (stamp-pattern contract violated)\n",
-                   static_cast<unsigned long long>(fallbacks));
+                   "FAIL: %llu stamp-pattern miss(es) in the quick suite "
+                   "(stamp-pattern contract violated)\n",
+                   static_cast<unsigned long long>(misses));
       rc = 1;
     }
   }

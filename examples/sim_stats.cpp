@@ -1,32 +1,29 @@
 // sim_stats: run the paper's two transistor-level workloads (Table 1
 // delay-line chain, Table 2 modulator core) with solver telemetry
 // enabled and report what the engines actually did — Newton iterations,
-// factorizations vs symbolic reuses, re-pivot and fallback events, step
-// accept/reject/clamp statistics — as a table or JSON.
+// factorizations vs symbolic reuses, re-pivot and pattern-miss events,
+// step accept/reject/clamp statistics — as a table or JSON.
 //
 //   sim_stats [--json] [--stages=N] [--sections=N] [--periods=P]
-//             [--adaptive] [--solver=dense|sparse|auto]
-//             [--engine=event|monolithic]
+//             [--adaptive] [--engine=event|monolithic]
 //
 // With --engine=event the runs go through the event-driven multi-rate
 // engine (src/event) and the report gains the partition statistics:
 // blocks, block solves vs skips, whole steps skipped, latency ratio.
 //
 // Exit status is nonzero when a run had to accept dt_min-clamped steps
-// above lte_tol (adaptive mode), engaged the dense fallback, or — under
+// above lte_tol (adaptive mode), grew a stamp pattern on a miss, or — under
 // the event engine — when partitioning degraded: the circuit collapsed
 // into a single block, or a scoped solve failed to converge and forced
 // a full activation.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <stdexcept>
 #include <string>
 
 #include "obs/telemetry.hpp"
 #include "si/netlists.hpp"
 #include "spice/dc.hpp"
-#include "spice/mna.hpp"
 #include "spice/transient.hpp"
 
 namespace {
@@ -152,8 +149,6 @@ int main(int argc, char** argv) {
       sections = std::atoi(argv[i] + 11);
     else if (std::strncmp(argv[i], "--periods=", 10) == 0)
       periods = std::atof(argv[i] + 10);
-    else if (std::strncmp(argv[i], "--solver=", 9) == 0)
-      setenv("SI_SOLVER", argv[i] + 9, 1);
     else if (std::strcmp(argv[i], "--engine=event") == 0)
       engine = TransientEngine::kEvent;
     else if (std::strcmp(argv[i], "--engine=monolithic") == 0)
@@ -162,16 +157,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: sim_stats [--json] [--adaptive] [--stages=N] "
                    "[--sections=N] [--periods=P] "
-                   "[--solver=dense|sparse|auto] "
                    "[--engine=event|monolithic]\n");
       return 2;
     }
-  }
-  try {
-    (void)solver_kind_from_env();  // a bad --solver= value fails here
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "sim_stats: %s\n", e.what());
-    return 2;
   }
   if (stages < 1 || sections < 1 || periods <= 0.0) {
     std::fprintf(stderr, "sim_stats: stages/sections must be >= 1, periods > 0\n");
@@ -219,14 +207,14 @@ int main(int argc, char** argv) {
     std::fputs(si::obs::snapshot_table().c_str(), stdout);
   }
 
-  const std::uint64_t fallbacks =
-      si::obs::counter("mna.dense_fallback_engaged").value();
+  const std::uint64_t misses =
+      si::obs::counter("mna.pattern_misses").value();
   const std::uint64_t clamped = dl.clamped + mod.clamped;
-  if (fallbacks > 0 || clamped > 0) {
+  if (misses > 0 || clamped > 0) {
     std::fprintf(stderr,
-                 "sim_stats: degraded run — dense_fallback_engaged=%llu, "
+                 "sim_stats: degraded run — pattern_misses=%llu, "
                  "lte_clamped_steps=%llu\n",
-                 static_cast<unsigned long long>(fallbacks),
+                 static_cast<unsigned long long>(misses),
                  static_cast<unsigned long long>(clamped));
     return 1;
   }

@@ -164,11 +164,6 @@ McStatistics monte_carlo_dc(int runs, const McDcWorkload& workload,
   return detail::aggregate_sorted(run_dc_trials(runs, workload, opts));
 }
 
-namespace {
-
-// Shared draw applier: snapshot every MOSFET's nominal parameters once
-// at build time, then perturb kp / Vt0 per trial; apply() runs
-// allocation-free and is a pure function of the seed.
 std::function<void(std::uint64_t)> mosfet_mismatch_apply(spice::Circuit& c,
                                                          double sigma) {
   std::vector<std::pair<spice::Mosfet*, spice::MosfetParams>> devices;
@@ -185,8 +180,6 @@ std::function<void(std::uint64_t)> mosfet_mismatch_apply(spice::Circuit& c,
     }
   };
 }
-
-}  // namespace
 
 McDcWorkload modulator_mismatch_workload(int sections, double sigma) {
   McDcWorkload w;

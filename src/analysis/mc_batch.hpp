@@ -56,6 +56,15 @@ std::size_t mc_batch_lanes(std::size_t requested);
 McStatistics monte_carlo_dc(int runs, const McDcWorkload& workload,
                             const McBatchOptions& opts = {});
 
+/// The per-device mismatch draw of every workload below (and of the
+/// service's mc jobs): snapshots each MOSFET's nominal parameters once,
+/// then per trial scales kp by max(0.1, 1 + sigma * N(0,1)) and vt0 by
+/// 1 + sigma * N(0,1), drawn from an RngStream seeded by the trial seed.
+/// The returned apply() is allocation-free and a pure function of the
+/// seed.
+std::function<void(std::uint64_t)> mosfet_mismatch_apply(spice::Circuit& c,
+                                                         double sigma);
+
 /// Canonical workload: an N-section SI modulator core under per-device
 /// kp / vt0 mismatch (relative sigma on kp, absolute sigma * vt0 on
 /// vt0), measuring the differential DC output offset v(out_p) -

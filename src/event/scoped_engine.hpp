@@ -14,14 +14,14 @@
 // assembled system is bit-identical to the monolithic engine's, which
 // is what makes the event engine's solved steps agree with the full
 // solve to the last digit.  Each distinct active-block mask gets its
-// own cached sparsity pattern, slot memos and symbolic factorization,
-// so steady-state scheduling (the same few masks recurring every clock
-// period) runs the allocation-free pattern-cached hot path.
+// own spice::NewtonCore (sparsity pattern, slot memos, symbolic
+// factorization), so steady-state scheduling (the same few masks
+// recurring every clock period) runs the allocation-free
+// pattern-cached hot path.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "event/partition.hpp"
@@ -31,8 +31,10 @@ namespace si::event {
 
 class ScopedMnaEngine {
  public:
-  ScopedMnaEngine(spice::Circuit& c, const CircuitPartition& p,
-                  spice::SolverKind kind = spice::SolverKind::kAuto);
+  ScopedMnaEngine(spice::Circuit& c, const CircuitPartition& p);
+  // Every scope's core points at stats_: copies would share it.
+  ScopedMnaEngine(const ScopedMnaEngine&) = delete;
+  ScopedMnaEngine& operator=(const ScopedMnaEngine&) = delete;
 
   /// One damped Newton solve restricted to the blocks with
   /// active[b] != 0 (block 0 is always included).  `x` is the full MNA
@@ -59,46 +61,12 @@ class ScopedMnaEngine {
   std::size_t scope_states() const { return states_.size(); }
 
  private:
-  /// Per-active-mask solver state: the restricted system's pattern,
-  /// matrices, memos and factorization, plus the in-scope element lists.
-  struct ScopeState {
-    std::vector<unsigned char> scope;  ///< per-unknown in-scope flags
-    std::vector<spice::Element*> linear;
-    std::vector<spice::Element*> nonlinear;
-    bool dense = false;
-    bool dense_fallback = false;  ///< sticky pattern-miss demotion
-
-    // Dense path.
-    linalg::Matrix a0_dense;
-    linalg::Matrix a_dense;
-    std::vector<std::size_t> perm;
-
-    // Sparse path.
-    std::shared_ptr<const linalg::SparsePattern> pattern;
-    linalg::SparseMatrixD a0_sparse;
-    linalg::SparseMatrixD a_sparse;
-    linalg::SlotMemo lin_memo;
-    linalg::SlotMemo nl_memo;
-    bool lin_memo_warm = false;
-    bool nl_memo_warm = false;
-    linalg::SparseLuD lu;
-    bool lu_warm = false;
-  };
-
-  ScopeState& state_for(const std::vector<unsigned char>& active,
-                        const spice::StampContext& ctx);
-  void build_state(ScopeState& st, const std::vector<unsigned char>& active,
-                   const spice::StampContext& ctx);
-  void stamp_baseline(ScopeState& st, const spice::StampContext& ctx,
-                      const linalg::Vector& x, double gdiag);
-  void assemble_iteration(ScopeState& st, const spice::StampContext& ctx,
-                          const linalg::Vector& x);
-  void freeze_out_of_scope(ScopeState& st, const linalg::Vector& x,
-                           bool baseline);
+  /// The restricted system of one active-block mask, built on first use.
+  spice::NewtonCore& state_for(const std::vector<unsigned char>& active,
+                               const spice::StampContext& ctx);
 
   spice::Circuit* circuit_;
   const CircuitPartition* partition_;
-  spice::SolverKind requested_;
   std::uint64_t revision_ = 0;
   spice::MnaStats stats_;
 
@@ -106,12 +74,9 @@ class ScopedMnaEngine {
   /// an element is in scope iff any of its rows is.
   std::vector<std::vector<int>> element_rows_;
 
-  std::map<std::vector<unsigned char>, ScopeState> states_;
-
-  // Shared workspaces (same size for every scope: the full system).
-  linalg::Vector b0_;
-  linalg::Vector b_;
-  linalg::Vector x_new_;
+  /// Per-active-mask solver state: the restricted system's pattern,
+  /// matrices, memos and factorization, plus the in-scope element lists.
+  std::map<std::vector<unsigned char>, spice::NewtonCore> states_;
 };
 
 }  // namespace si::event

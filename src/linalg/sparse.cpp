@@ -384,7 +384,7 @@ void SparseLu<T>::refactor_values(const SparseMatrix<T>& a, bool fresh_pivot) {
     if (ad < tol && (fresh_pivot || ad < kRefFrac * diag_ref_[i])) {
       factored_ = false;
       // Local static so the hot numeric path never touches the registry
-      // lock; the MNA engine re-pivots (or goes dense) on this signal.
+      // lock; the MNA engine re-pivots on this signal.
       static obs::Counter& drift = obs::counter("linalg.pivot_drift");
       drift.add();
       throw PivotDriftError(i);

@@ -14,7 +14,7 @@
 // Pivot magnitudes are checked on every refactor: if the operating
 // point drifts far enough that a frozen pivot becomes too small, the
 // refactor throws PivotDriftError and the caller re-runs the pivoting
-// factorization (or falls back to the dense path).
+// factorization.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,8 @@ namespace si::linalg {
 
 /// Thrown when a stamp targets a coordinate outside the frozen nonzero
 /// pattern (an element violated the stamp-pattern contract, see
-/// DESIGN.md); the MNA engine falls back to the dense path.
+/// DESIGN.md); the MNA engine adds (row(), col()) to the pattern and
+/// retries.
 class PatternMissError : public std::logic_error {
  public:
   PatternMissError(int row, int col)

@@ -3,9 +3,10 @@
 // A CancelToken is an atomic cancel flag plus an optional steady-clock
 // deadline.  The owner (the job server, a CLI watchdog, a test) arms
 // it; the solver loops call checkpoint() at their natural iteration
-// boundaries — once per Newton iteration in MnaEngine::newton and
-// ScopedMnaEngine::newton, which bounds the reaction latency of a DC,
-// transient, or Monte-Carlo job to a single Newton iteration.
+// boundaries — once per Newton iteration of spice::NewtonCore, the
+// loop under MnaEngine, ScopedMnaEngine and McDcEngine, which bounds
+// the reaction latency of a DC, transient, or Monte-Carlo job to a
+// single Newton iteration.
 // checkpoint() throws CancelledError, which is NOT a ConvergenceError:
 // the gmin-stepping ladder and the event engine's full-activation retry
 // only swallow ConvergenceError, so a cancellation always unwinds out

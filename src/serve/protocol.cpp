@@ -7,10 +7,9 @@
 #include <sstream>
 #include <vector>
 
-#include "analysis/monte_carlo.hpp"
+#include "analysis/mc_batch.hpp"
 #include "erc/check.hpp"
 #include "runtime/result_cache.hpp"
-#include "runtime/rng_stream.hpp"
 #include "spice/deck.hpp"
 #include "spice/mosfet.hpp"
 #include "spice/parser.hpp"
@@ -166,46 +165,43 @@ Json run_tran(const JobRequest& r, const spice::DeckRunOptions& opt) {
 
 Json run_mc(const JobRequest& r, const spice::DeckRunOptions& opt) {
   const std::string node_name = measure_node(r.mc_measure);
-  spice::Circuit c = spice::parse_netlist(strip_directives(r.deck));
+  const std::string deck = strip_directives(r.deck);
 
-  // Circuit::node() creates on first use; a typoed measure node must be
-  // an error, not a silently-floating extra unknown.
-  const std::size_t nodes_before = c.node_count();
-  const spice::NodeId probe = c.node(node_name);
-  if (c.node_count() != nodes_before)
-    bad_request("mc_measure node \"" + node_name + "\" is not in the deck");
-
-  // Snapshot every MOSFET's nominal parameters once, then perturb
-  // kp / Vt0 per trial — apply() is a pure function of the seed.
-  std::vector<std::pair<spice::Mosfet*, spice::MosfetParams>> devices;
-  for (const auto& e : c.elements())
-    if (auto* m = dynamic_cast<spice::Mosfet*>(e.get()))
-      devices.emplace_back(m, m->params());
-  if (devices.empty())
-    bad_request("analysis \"mc\" needs at least one MOSFET to mismatch");
-
-  spice::DcOptions dopt;
-  dopt.newton = opt.newton;
-  dopt.erc_gate = false;  // the job-level gate already ran
+  // The one Monte-Carlo DC path: analysis::monte_carlo_dc with the
+  // shared mismatch draw.  build() parses the deck into each context's
+  // circuit; its checks throw on the first (nominal) build.
+  analysis::McDcWorkload w;
+  w.newton = opt.newton;  // carries the job's cancel token
+  w.build = [&](spice::Circuit& c) {
+    c = spice::parse_netlist(deck);
+    // Circuit::node() creates on first use; a typoed measure node must
+    // be an error, not a silently-floating extra unknown.
+    const std::size_t nodes_before = c.node_count();
+    const spice::NodeId probe = c.node(node_name);
+    if (c.node_count() != nodes_before)
+      bad_request("mc_measure node \"" + node_name + "\" is not in the deck");
+    const bool has_mosfet = std::any_of(
+        c.elements().begin(), c.elements().end(), [](const auto& e) {
+          return dynamic_cast<const spice::Mosfet*>(e.get()) != nullptr;
+        });
+    if (!has_mosfet)
+      bad_request("analysis \"mc\" needs at least one MOSFET to mismatch");
+    analysis::McDcTrialFns fns;
+    fns.apply = analysis::mosfet_mismatch_apply(c, r.mc_sigma);
+    fns.measure = [probe](const spice::SolutionView& sol) {
+      return sol.voltage(probe);
+    };
+    return fns;
+  };
 
   // Trials stay sequential inside one job: the JobServer's workers are
   // the parallelism, and the cancel token is honoured every Newton
   // iteration regardless.
-  std::vector<double> samples(static_cast<std::size_t>(r.mc_trials));
-  for (std::size_t k = 0; k < samples.size(); ++k) {
-    runtime::RngStream rng(runtime::trial_seed(r.mc_seed, k));
-    for (const auto& [mos, nominal] : devices) {
-      spice::MosfetParams p = nominal;
-      p.kp = nominal.kp * std::max(0.1, 1.0 + r.mc_sigma * rng.normal());
-      p.vt0 = nominal.vt0 * (1.0 + r.mc_sigma * rng.normal());
-      mos->set_params(p);
-    }
-    const auto res = spice::dc_operating_point(c, dopt);
-    samples[k] = node_voltage(res.x, probe);
-  }
-  std::sort(samples.begin(), samples.end());
+  analysis::McBatchOptions mo;
+  mo.seed0 = r.mc_seed;
+  mo.parallel = false;
   const analysis::McStatistics st =
-      analysis::detail::aggregate_sorted(std::move(samples));
+      analysis::monte_carlo_dc(r.mc_trials, w, mo);
 
   Json out = Json::object();
   out.set("analysis", "mc");

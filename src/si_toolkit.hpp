@@ -1,7 +1,7 @@
 // Umbrella header for the switched-current toolkit.
 //
 // Pulls in the full public API:
-//   si::linalg   — dense LU substrate
+//   si::linalg   — sparse LU substrate (+ dense LU oracle)
 //   si::spice    — transistor-level circuit simulation (+ deck parser)
 //   si::dsp      — FFT / spectra / metrics / decimation
 //   si::cells    — SI memory cells, CMFF, delay line, filters, models

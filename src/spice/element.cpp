@@ -21,10 +21,6 @@ double SolutionView::branch_current(int branch) const {
   return (*x_)[circuit_->node_count() - 1 + static_cast<std::size_t>(branch)];
 }
 
-RealStamper::RealStamper(const Circuit& c, linalg::Matrix& a,
-                         linalg::Vector& b, const linalg::Vector& x)
-    : circuit_(&c), dense_(&a), b_(&b), x_(&x) {}
-
 RealStamper::RealStamper(const Circuit& c, linalg::SparseMatrixD& a,
                          linalg::Vector& b, const linalg::Vector& x,
                          linalg::SlotMemo* memo)
@@ -45,13 +41,10 @@ void RealStamper::add(int r, int c, double v) {
       return;
     }
   }
-  if (dense_) {
-    (*dense_)(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) += v;
-  } else if (sparse_) {
+  if (sparse_)
     sparse_->add(r, c, v, memo_);
-  } else {
+  else
     record_->add(r, c);
-  }
 }
 
 int RealStamper::branch_index(int branch) const {
@@ -133,10 +126,6 @@ void RealStamper::branch_branch_entry(int row_branch, int col_branch,
   add(branch_index(row_branch), branch_index(col_branch), coeff);
 }
 
-ComplexStamper::ComplexStamper(const Circuit& c, linalg::ComplexMatrix& a,
-                               linalg::ComplexVector& b)
-    : circuit_(&c), dense_(&a), b_(&b) {}
-
 ComplexStamper::ComplexStamper(const Circuit& c, linalg::SparseMatrixZ& a,
                                linalg::ComplexVector& b,
                                linalg::SlotMemo* memo)
@@ -147,13 +136,10 @@ ComplexStamper::ComplexStamper(const Circuit& c, linalg::PatternBuilder& rec,
     : circuit_(&c), record_(&rec), b_(&b) {}
 
 void ComplexStamper::add(int r, int c, std::complex<double> v) {
-  if (dense_) {
-    (*dense_)(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) += v;
-  } else if (sparse_) {
+  if (sparse_)
     sparse_->add(r, c, v, memo_);
-  } else {
+  else
     record_->add(r, c);
-  }
 }
 
 int ComplexStamper::branch_index(int branch) const {

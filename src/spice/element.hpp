@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
 
 namespace si::spice {
@@ -55,9 +54,7 @@ class SolutionView {
 
 /// Accumulates real (DC / transient Newton) stamps.
 ///
-/// Three interchangeable backends keep the Element interface unchanged
-/// while the MNA engine picks the representation:
-///  - dense: writes into a DenseMatrix (the seed behavior);
+/// Two backends keep the Element interface unchanged:
 ///  - sparse: indexed writes into a SparseMatrix's nonzero array,
 ///    optionally through a SlotMemo so replayed Newton iterations skip
 ///    the slot search entirely (pattern-cached stamping);
@@ -65,8 +62,6 @@ class SolutionView {
 ///    during the engine's one-time discovery pass (values discarded).
 class RealStamper {
  public:
-  RealStamper(const Circuit& c, linalg::Matrix& a, linalg::Vector& b,
-              const linalg::Vector& x);
   RealStamper(const Circuit& c, linalg::SparseMatrixD& a, linalg::Vector& b,
               const linalg::Vector& x, linalg::SlotMemo* memo = nullptr);
   RealStamper(const Circuit& c, linalg::PatternBuilder& rec,
@@ -111,7 +106,6 @@ class RealStamper {
   void add(int r, int c, double v);
 
   const Circuit* circuit_;
-  linalg::Matrix* dense_ = nullptr;
   linalg::SparseMatrixD* sparse_ = nullptr;
   linalg::PatternBuilder* record_ = nullptr;
   linalg::SlotMemo* memo_ = nullptr;
@@ -124,8 +118,6 @@ class RealStamper {
 /// as RealStamper but with complex admittances.
 class ComplexStamper {
  public:
-  ComplexStamper(const Circuit& c, linalg::ComplexMatrix& a,
-                 linalg::ComplexVector& b);
   ComplexStamper(const Circuit& c, linalg::SparseMatrixZ& a,
                  linalg::ComplexVector& b, linalg::SlotMemo* memo = nullptr);
   ComplexStamper(const Circuit& c, linalg::PatternBuilder& rec,
@@ -148,7 +140,6 @@ class ComplexStamper {
   void add(int r, int c, std::complex<double> v);
 
   const Circuit* circuit_;
-  linalg::ComplexMatrix* dense_ = nullptr;
   linalg::SparseMatrixZ* sparse_ = nullptr;
   linalg::PatternBuilder* record_ = nullptr;
   linalg::SlotMemo* memo_ = nullptr;

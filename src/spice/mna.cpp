@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
 #include "obs/telemetry.hpp"
-#include "runtime/env.hpp"
 
 namespace si::spice {
 
@@ -21,9 +19,8 @@ struct MnaTelemetry {
   obs::Counter& pattern_builds = obs::counter("mna.pattern_builds");
   obs::Counter& symbolic_factors = obs::counter("mna.symbolic_factors");
   obs::Counter& numeric_refactors = obs::counter("mna.numeric_refactors");
-  obs::Counter& dense_factors = obs::counter("mna.dense_factors");
   obs::Counter& pivot_repivots = obs::counter("mna.pivot_repivots");
-  obs::Counter& dense_fallbacks = obs::counter("mna.dense_fallback_engaged");
+  obs::Counter& pattern_misses = obs::counter("mna.pattern_misses");
   obs::Counter& singular_retries = obs::counter("mna.singular_matrix");
   obs::Timer& newton_time = obs::timer("mna.newton");
 
@@ -33,169 +30,258 @@ struct MnaTelemetry {
   }
 };
 
+/// Publishes to the mna.* counters what one engine call added to its
+/// MnaStats, once per call: Monte-Carlo workers solve concurrently, and
+/// per-iteration adds on the shared atomics would contend.
+class PublishStats {
+ public:
+  explicit PublishStats(const MnaStats& s) : s_(s), at_entry_(s) {}
+  PublishStats(const PublishStats&) = delete;
+  PublishStats& operator=(const PublishStats&) = delete;
+  ~PublishStats() {
+    MnaTelemetry& tm = MnaTelemetry::get();
+    auto publish = [](obs::Counter& c, std::uint64_t now, std::uint64_t then) {
+      if (now != then) c.add(now - then);
+    };
+    publish(tm.newton_iterations, s_.nonlinear_stamps,
+            at_entry_.nonlinear_stamps);
+    publish(tm.pattern_builds, s_.pattern_builds, at_entry_.pattern_builds);
+    publish(tm.symbolic_factors, s_.symbolic_factors,
+            at_entry_.symbolic_factors);
+    publish(tm.numeric_refactors, s_.numeric_refactors,
+            at_entry_.numeric_refactors);
+    publish(tm.pivot_repivots, s_.pivot_repivots, at_entry_.pivot_repivots);
+    publish(tm.pattern_misses, s_.pattern_misses, at_entry_.pattern_misses);
+  }
+
+ private:
+  const MnaStats& s_;
+  const MnaStats at_entry_;
+};
+
+/// Adds a missed coordinate to `grown`; the first miss of a topology is
+/// counted.  Growing is only sound once per coordinate: a repeat means
+/// the pattern did not take it, and retrying would loop forever.
+void grow_pattern(std::vector<std::pair<int, int>>& grown,
+                  const linalg::PatternMissError& miss, MnaStats& stats) {
+  const std::pair<int, int> rc{miss.row(), miss.col()};
+  if (std::find(grown.begin(), grown.end(), rc) != grown.end())
+    throw std::logic_error(std::string("MNA pattern growth did not take: ") +
+                           miss.what());
+  if (grown.empty()) ++stats.pattern_misses;
+  grown.push_back(rc);
+}
+
+/// Factors `a` into `lu` on first use (warm == false), refactors it
+/// numerically afterwards, and re-runs the pivoting factorization once
+/// when a frozen pivot drifts.  Throws SingularMatrixError.
+template <typename T>
+void factor_or_refactor(linalg::SparseLu<T>& lu,
+                        const linalg::SparseMatrix<T>& a, bool& warm,
+                        MnaStats& stats) {
+  if (!warm) {
+    lu.factor(a);
+    warm = true;
+    ++stats.symbolic_factors;
+    return;
+  }
+  try {
+    lu.refactor(a);
+    ++stats.numeric_refactors;
+  } catch (const linalg::PivotDriftError&) {
+    // Operating point drifted past the frozen pivot choice: redo the
+    // pivoting factorization once and carry on with the new order.
+    lu.factor(a);
+    ++stats.symbolic_factors;
+    ++stats.pivot_repivots;
+  }
+}
+
 }  // namespace
 
-SolverKind solver_kind_from_env() {
-  // A typo must not silently benchmark the auto-selected solver; the
-  // shared strict parser throws naming the valid choices.
-  const auto v =
-      runtime::parse_env_choice("SI_SOLVER", {"auto", "dense", "sparse"});
-  if (!v || *v == "auto") return SolverKind::kAuto;
-  if (*v == "dense") return SolverKind::kDense;
+SolverKind resolve_solver(SolverKind, std::size_t) {
   return SolverKind::kSparse;
 }
 
-SolverKind resolve_solver(SolverKind requested, std::size_t n) {
-  if (requested == SolverKind::kSchur) return SolverKind::kSparse;  // retired
-  if (requested != SolverKind::kAuto) return requested;
-  const SolverKind env = solver_kind_from_env();
-  if (env != SolverKind::kAuto) return env;
-  return n >= kSparseAutoThreshold ? SolverKind::kSparse : SolverKind::kDense;
+// ----------------------------------------------------------- NewtonCore
+
+void NewtonCore::bind(const StampContext& ctx) {
+  std::vector<Element*> linear, nonlinear;
+  for (const auto& e : circuit_->elements())
+    (e->nonlinear() ? nonlinear : linear).push_back(e.get());
+  bind(std::move(linear), std::move(nonlinear), {}, ctx);
 }
 
-// ------------------------------------------------------------ MnaEngine
+void NewtonCore::bind(std::vector<Element*> linear,
+                      std::vector<Element*> nonlinear,
+                      std::vector<unsigned char> scope,
+                      const StampContext& ctx) {
+  PublishStats publish(*stats_);
+  linear_ = std::move(linear);
+  nonlinear_ = std::move(nonlinear);
+  scope_ = std::move(scope);
+  grown_.clear();
+  discover(ctx);
+}
 
-MnaEngine::MnaEngine(Circuit& c, SolverKind kind)
-    : circuit_(&c), requested_(kind) {}
-
-void MnaEngine::prepare(const StampContext& ctx) {
-  Circuit& c = *circuit_;
-  c.finalize();
-  if (prepared_ && revision_ == c.revision()) return;
-  // A sticky dense fallback records a stamp-pattern contract violation
-  // for ONE topology.  An edit (revision bump) rebuilds the pattern, so
-  // the new topology gets a fresh sparse attempt — without this reset a
-  // single pattern miss used to pin the circuit to the dense solver
-  // across every later edit.
-  if (revision_ != c.revision()) dense_fallback_ = false;
-  revision_ = c.revision();
-  prepared_ = true;
-  ++stats_.workspace_allocs;
-
-  linear_.clear();
-  nonlinear_.clear();
-  for (const auto& e : c.elements())
-    (e->nonlinear() ? nonlinear_ : linear_).push_back(e.get());
-
-  const std::size_t n = c.system_size();
-  active_ = dense_fallback_ ? SolverKind::kDense : resolve_solver(requested_, n);
-  b0_.assign(n, 0.0);
-  b_.assign(n, 0.0);
-  x_new_.assign(n, 0.0);
-  lu_warm_ = false;
-  lin_memo_warm_ = false;
-  nl_memo_warm_ = false;
-
-  if (active_ == SolverKind::kDense) {
-    a0_dense_.resize(n, n);
-    a_dense_.resize(n, n);
-    pattern_.reset();
-    return;
-  }
-
+void NewtonCore::discover(const StampContext& ctx) {
   // Discovery pass: record every (row, col) an element can touch.  The
   // same topology stamps different coordinate sets per analysis mode
   // (capacitor companions vanish at DC), so record under both; the
   // builder symmetrizes, which also covers the MOSFET drain/source
-  // orientation swap.
+  // orientation swap.  Under a scope only in-scope coordinates are
+  // recorded (frozen rows keep just their identity diagonal, which the
+  // builder includes unconditionally).
+  const std::size_t n = circuit_->system_size();
   linalg::PatternBuilder rec(static_cast<int>(n));
   linalg::Vector scratch_b(n, 0.0);
   linalg::Vector scratch_x(n, 0.0);
-  RealStamper r(c, rec, scratch_b, scratch_x);
+  RealStamper r(*circuit_, rec, scratch_b, scratch_x);
+  if (!scope_.empty()) r.set_scope(&scope_);
   StampContext probe = ctx;
+  auto record = [&] {
+    for (Element* e : linear_) e->stamp(r, probe);
+    for (Element* e : nonlinear_) e->stamp(r, probe);
+  };
   probe.mode = AnalysisMode::kDcOperatingPoint;
-  for (const auto& e : c.elements()) e->stamp(r, probe);
+  record();
   probe.mode = AnalysisMode::kTransient;
   if (probe.dt <= 0.0) probe.dt = 1.0;
   probe.integrator = Integrator::kTrapezoidal;
-  for (const auto& e : c.elements()) e->stamp(r, probe);
+  record();
+  for (const auto& [row, col] : grown_) rec.add(row, col);
   pattern_ = rec.build(/*symmetrize=*/true);
-  ++stats_.pattern_builds;
-  MnaTelemetry::get().pattern_builds.add();
-  a0_sparse_ = linalg::SparseMatrixD(pattern_);
-  a_sparse_ = linalg::SparseMatrixD(pattern_);
+  ++stats_->pattern_builds;
+
+  a0_ = linalg::SparseMatrixD(pattern_);
+  a_ = linalg::SparseMatrixD(pattern_);
   lu_ = linalg::SparseLuD();  // drop the stale symbolic factorization
+  lu_warm_ = false;
+  lin_memo_warm_ = false;
+  nl_memo_warm_ = false;
+  b0_.assign(n, 0.0);
+  b_.assign(n, 0.0);
+  x_new_.assign(n, 0.0);
 }
 
-void MnaEngine::stamp_baseline(const StampContext& ctx,
-                               const linalg::Vector& x, double gdiag) {
-  Circuit& c = *circuit_;
-  const std::size_t n_nodes = c.node_count() - 1;
+void NewtonCore::stamp_baseline(const StampContext& ctx,
+                                const linalg::Vector& x, double gdiag) {
+  const std::size_t n_nodes = circuit_->node_count() - 1;
   b0_.assign(b0_.size(), 0.0);
-  ++stats_.base_stamps;
-  if (active_ == SolverKind::kDense) {
-    a0_dense_.set_zero();
-    RealStamper s(c, a0_dense_, b0_, x);
-    for (Element* e : linear_) e->stamp(s, ctx);
-    for (std::size_t i = 0; i < n_nodes; ++i) a0_dense_(i, i) += gdiag;
-  } else {
-    a0_sparse_.set_zero();
-    if (lin_memo_warm_)
-      lin_memo_.start_replay();
-    else
-      lin_memo_.start_record();
-    RealStamper s(c, a0_sparse_, b0_, x, &lin_memo_);
-    for (Element* e : linear_) e->stamp(s, ctx);
-    lin_memo_warm_ = true;
-    const auto& diag = pattern_->diag_slots();
-    auto& vals = a0_sparse_.values();
-    for (std::size_t i = 0; i < n_nodes; ++i)
-      vals[static_cast<std::size_t>(diag[i])] += gdiag;
-  }
+  ++stats_->base_stamps;
+  a0_.set_zero();
+  if (lin_memo_warm_)
+    lin_memo_.start_replay();
+  else
+    lin_memo_.start_record();
+  RealStamper s(*circuit_, a0_, b0_, x, &lin_memo_);
+  if (!scope_.empty()) s.set_scope(&scope_);
+  for (Element* e : linear_) e->stamp(s, ctx);
+  lin_memo_warm_ = true;
+  const auto& diag = pattern_->diag_slots();
+  auto& vals = a0_.values();
+  for (std::size_t i = 0; i < n_nodes; ++i)
+    if (in_scope(i)) vals[static_cast<std::size_t>(diag[i])] += gdiag;
+  if (scope_.empty()) return;
+  // Identity equations for held unknowns: A[r,r] = 1, b[r] = x[r].
+  // Frozen rows and columns carry no other entries (the scoped stamper
+  // dropped the rows and condensed the columns), so the solve passes
+  // the held values through exactly.
+  for (std::size_t r = 0; r < scope_.size(); ++r)
+    if (!scope_[r]) {
+      vals[static_cast<std::size_t>(diag[r])] = 1.0;
+      b0_[r] = x[r];
+    }
 }
 
-void MnaEngine::assemble_iteration(const StampContext& ctx,
-                                   const linalg::Vector& x) {
-  Circuit& c = *circuit_;
+void NewtonCore::assemble(const StampContext& ctx, const linalg::Vector& x) {
   b_ = b0_;
-  ++stats_.nonlinear_stamps;
-  if (active_ == SolverKind::kDense) {
-    a_dense_ = a0_dense_;
-    RealStamper s(c, a_dense_, b_, x);
-    for (Element* e : nonlinear_) e->stamp(s, ctx);
-  } else {
-    a_sparse_.copy_values_from(a0_sparse_);
-    if (nl_memo_warm_)
-      nl_memo_.start_replay();
-    else
-      nl_memo_.start_record();
-    RealStamper s(c, a_sparse_, b_, x, &nl_memo_);
-    for (Element* e : nonlinear_) e->stamp(s, ctx);
-    nl_memo_warm_ = true;
-  }
+  ++stats_->nonlinear_stamps;
+  a_.copy_values_from(a0_);
+  if (nl_memo_warm_)
+    nl_memo_.start_replay();
+  else
+    nl_memo_.start_record();
+  RealStamper s(*circuit_, a_, b_, x, &nl_memo_);
+  if (!scope_.empty()) s.set_scope(&scope_);
+  for (Element* e : nonlinear_) e->stamp(s, ctx);
+  nl_memo_warm_ = true;
 }
 
-void MnaEngine::solve_dense() {
-  ++stats_.dense_factors;
-  MnaTelemetry::get().dense_factors.add();
-  linalg::lu_factor_in_place(a_dense_, perm_);
-  linalg::lu_solve_in_place(a_dense_, perm_, b_, x_new_);
+void NewtonCore::factor(const linalg::SparseMatrixD& a) {
+  PublishStats publish(*stats_);
+  lu_warm_ = false;
+  factor_or_refactor(lu_, a, lu_warm_, *stats_);
 }
 
-void MnaEngine::solve_sparse() {
-  MnaTelemetry& tm = MnaTelemetry::get();
-  if (!lu_warm_) {
-    lu_.factor(a_sparse_);
-    lu_warm_ = true;
-    ++stats_.symbolic_factors;
-    tm.symbolic_factors.add();
-  } else {
+int NewtonCore::newton(const StampContext& ctx, linalg::Vector& x,
+                       const NewtonOptions& opt, double gdiag,
+                       const std::function<void()>& before_stamp) {
+  PublishStats publish(*stats_);
+  while (true) {
     try {
-      lu_.refactor(a_sparse_);
-      ++stats_.numeric_refactors;
-      tm.numeric_refactors.add();
-    } catch (const linalg::PivotDriftError&) {
-      // Operating point drifted past the frozen pivot choice: redo the
-      // pivoting factorization once and carry on with the new order.
-      lu_.factor(a_sparse_);
-      ++stats_.symbolic_factors;
-      ++stats_.pivot_repivots;
-      tm.symbolic_factors.add();
-      tm.pivot_repivots.add();
+      return newton_once(ctx, x, opt, gdiag, before_stamp);
+    } catch (const linalg::PatternMissError& miss) {
+      // An element stamped outside the discovered pattern (a
+      // stamp-pattern contract violation): take the coordinate into the
+      // pattern and solve again.  The grown coordinates stay until the
+      // next bind(), so the topology misses once.
+      if (!grow_on_miss_) throw;
+      grow_pattern(grown_, miss, *stats_);
+      discover(ctx);
     }
   }
-  lu_.solve(b_, x_new_);
 }
+
+int NewtonCore::newton_once(const StampContext& ctx, linalg::Vector& x,
+                            const NewtonOptions& opt, double gdiag,
+                            const std::function<void()>& before_stamp) {
+  const std::size_t n = x.size();
+  const std::size_t n_nodes = circuit_->node_count() - 1;
+  if (before_stamp) before_stamp();
+  stamp_baseline(ctx, x, gdiag);
+
+  for (int it = 1; it <= opt.max_iterations; ++it) {
+    // Cancellation / deadline checkpoint: CancelledError is not a
+    // ConvergenceError, so it unwinds past the gmin ladder instead of
+    // being retried at a different gmin.
+    if (opt.cancel) opt.cancel->checkpoint();
+    if (before_stamp) before_stamp();
+    assemble(ctx, x);
+    try {
+      factor_or_refactor(lu_, a_, lu_warm_, *stats_);
+    } catch (const linalg::SingularMatrixError& e) {
+      MnaTelemetry::get().singular_retries.add();
+      throw ConvergenceError(std::string("singular MNA matrix: ") + e.what());
+    }
+    lu_.solve(b_, x_new_);
+
+    if (nonlinear_.empty()) {
+      // Linear circuits solve exactly in one step; no damping needed.
+      x = x_new_;
+      return it;
+    }
+
+    // Damp: clamp per-node voltage updates to avoid overshooting the
+    // square-law device curves, and check convergence on the raw
+    // update.  Out-of-scope unknowns pass through with dv == 0.
+    bool converged = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      double dv = x_new_[i] - x[i];
+      if (i < n_nodes) {
+        const double tol = opt.v_abstol + opt.v_reltol * std::abs(x[i]);
+        if (std::abs(dv) > tol) converged = false;
+        dv = std::clamp(dv, -opt.max_step, opt.max_step);
+      }
+      x[i] += dv;
+    }
+    if (converged && it > 1) return it;
+  }
+  throw ConvergenceError("Newton iteration did not converge in " +
+                         std::to_string(opt.max_iterations) + " iterations");
+}
+
+// ------------------------------------------------------------ MnaEngine
 
 int MnaEngine::newton(const StampContext& ctx, linalg::Vector& x,
                       const NewtonOptions& opt, double extra_gdiag) {
@@ -203,171 +289,74 @@ int MnaEngine::newton(const StampContext& ctx, linalg::Vector& x,
   obs::TraceSpan span("mna.newton");
   obs::ScopedTimer timed(tm.newton_time);
   tm.newton_solves.add();
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    prepare(ctx);
-    const std::size_t n = circuit_->system_size();
-    const std::size_t n_nodes = circuit_->node_count() - 1;
-    if (x.size() != n) x.assign(n, 0.0);
-
-    try {
-      stamp_baseline(ctx, x, opt.gmin + extra_gdiag);
-
-      for (int it = 1; it <= opt.max_iterations; ++it) {
-        // Cancellation / deadline checkpoint: CancelledError is not a
-        // ConvergenceError, so it unwinds past the gmin ladder instead
-        // of being retried at a different gmin.
-        if (opt.cancel) opt.cancel->checkpoint();
-        assemble_iteration(ctx, x);
-        tm.newton_iterations.add();
-        try {
-          if (active_ == SolverKind::kDense)
-            solve_dense();
-          else
-            solve_sparse();
-        } catch (const linalg::SingularMatrixError& e) {
-          tm.singular_retries.add();
-          throw ConvergenceError(std::string("singular MNA matrix: ") +
-                                 e.what());
-        }
-
-        if (nonlinear_.empty()) {
-          // Linear circuits solve exactly in one step; no damping needed.
-          x = x_new_;
-          return it;
-        }
-
-        // Damp: clamp per-node voltage updates to avoid overshooting the
-        // square-law device curves, and check convergence on the raw
-        // update.
-        bool converged = true;
-        for (std::size_t i = 0; i < n; ++i) {
-          double dv = x_new_[i] - x[i];
-          if (i < n_nodes) {
-            const double tol = opt.v_abstol + opt.v_reltol * std::abs(x[i]);
-            if (std::abs(dv) > tol) converged = false;
-            dv = std::clamp(dv, -opt.max_step, opt.max_step);
-          }
-          x[i] += dv;
-        }
-        if (converged && it > 1) return it;
-      }
-      throw ConvergenceError("Newton iteration did not converge in " +
-                             std::to_string(opt.max_iterations) +
-                             " iterations");
-    } catch (const linalg::PatternMissError&) {
-      // An element stamped outside the discovered pattern (stamp-pattern
-      // contract violation): fall back to the dense path until the next
-      // topology edit (prepare() clears the flag on a revision change).
-      dense_fallback_ = true;
-      prepared_ = false;
-      ++stats_.dense_fallbacks;
-      tm.dense_fallbacks.add();
-    }
+  Circuit& c = *circuit_;
+  c.finalize();
+  if (!prepared_ || revision_ != c.revision()) {
+    // New topology (or first solve): rediscover the pattern.  Grown
+    // coordinates belong to the old topology and are dropped with it.
+    ++stats_.workspace_allocs;
+    prepared_ = false;
+    core_.bind(ctx);
+    revision_ = c.revision();
+    prepared_ = true;
   }
-  throw ConvergenceError("MNA engine: dense fallback failed to engage");
+  if (x.size() != c.system_size()) x.assign(c.system_size(), 0.0);
+  return core_.newton(ctx, x, opt, opt.gmin + extra_gdiag);
 }
 
 // ------------------------------------------------------------- AcEngine
-
-AcEngine::AcEngine(Circuit& c, SolverKind kind)
-    : circuit_(&c), requested_(kind) {}
 
 void AcEngine::prepare() {
   Circuit& c = *circuit_;
   c.finalize();
   if (prepared_ && revision_ == c.revision()) return;
-  // Same reset as MnaEngine::prepare(): the fallback is only sticky
-  // within one topology revision.
-  if (revision_ != c.revision()) dense_fallback_ = false;
+  if (revision_ != c.revision()) grown_.clear();
   revision_ = c.revision();
   prepared_ = true;
   ++stats_.workspace_allocs;
 
-  const std::size_t n = c.system_size();
-  active_ = dense_fallback_ ? SolverKind::kDense : resolve_solver(requested_, n);
-  b_.assign(n, std::complex<double>{});
-  lu_warm_ = false;
-  memo_warm_ = false;
-
-  if (active_ == SolverKind::kDense) {
-    a_dense_.resize(n, n);
-    pattern_.reset();
-    return;
-  }
-
   // Small-signal stamps touch the same coordinates at every frequency
   // (only the admittance values scale with omega), so one discovery
   // pass at an arbitrary nonzero frequency freezes the pattern.
+  const std::size_t n = c.system_size();
   linalg::PatternBuilder rec(static_cast<int>(n));
   linalg::ComplexVector scratch_b(n);
   ComplexStamper r(c, rec, scratch_b);
   for (const auto& e : c.elements()) e->stamp_ac(r, 1.0);
+  for (const auto& [row, col] : grown_) rec.add(row, col);
   pattern_ = rec.build(/*symmetrize=*/true);
   ++stats_.pattern_builds;
-  MnaTelemetry::get().pattern_builds.add();
-  a_sparse_ = linalg::SparseMatrixZ(pattern_);
+  a_ = linalg::SparseMatrixZ(pattern_);
   lu_ = linalg::SparseLuZ();
+  b_.assign(n, std::complex<double>{});
+  lu_warm_ = false;
+  memo_warm_ = false;
 }
 
 void AcEngine::assemble(double omega) {
-  MnaTelemetry& tm = MnaTelemetry::get();
   obs::TraceSpan span("ac.assemble");
-  for (int attempt = 0; attempt < 2; ++attempt) {
+  PublishStats publish(stats_);
+  while (true) {
     prepare();
-    Circuit& c = *circuit_;
     b_.assign(b_.size(), std::complex<double>{});
+    a_.set_zero();
+    if (memo_warm_)
+      memo_.start_replay();
+    else
+      memo_.start_record();
     try {
-      if (active_ == SolverKind::kDense) {
-        a_dense_.set_zero();
-        ComplexStamper s(c, a_dense_, b_);
-        for (const auto& e : c.elements()) e->stamp_ac(s, omega);
-        ++stats_.dense_factors;
-        tm.dense_factors.add();
-        linalg::lu_factor_in_place(a_dense_, perm_);
-      } else {
-        a_sparse_.set_zero();
-        if (memo_warm_)
-          memo_.start_replay();
-        else
-          memo_.start_record();
-        ComplexStamper s(c, a_sparse_, b_, &memo_);
-        for (const auto& e : c.elements()) e->stamp_ac(s, omega);
-        memo_warm_ = true;
-        if (!lu_warm_) {
-          lu_.factor(a_sparse_);
-          lu_warm_ = true;
-          ++stats_.symbolic_factors;
-          tm.symbolic_factors.add();
-        } else {
-          try {
-            lu_.refactor(a_sparse_);
-            ++stats_.numeric_refactors;
-            tm.numeric_refactors.add();
-          } catch (const linalg::PivotDriftError&) {
-            lu_.factor(a_sparse_);
-            ++stats_.symbolic_factors;
-            ++stats_.pivot_repivots;
-            tm.symbolic_factors.add();
-            tm.pivot_repivots.add();
-          }
-        }
-      }
-      return;
-    } catch (const linalg::PatternMissError&) {
-      dense_fallback_ = true;
+      ComplexStamper s(*circuit_, a_, b_, &memo_);
+      for (const auto& e : circuit_->elements()) e->stamp_ac(s, omega);
+    } catch (const linalg::PatternMissError& miss) {
+      // Same pattern growth as NewtonCore::newton.
+      grow_pattern(grown_, miss, stats_);
       prepared_ = false;
-      ++stats_.dense_fallbacks;
-      tm.dense_fallbacks.add();
+      continue;
     }
+    memo_warm_ = true;
+    factor_or_refactor(lu_, a_, lu_warm_, stats_);
+    return;
   }
-}
-
-void AcEngine::solve(const linalg::ComplexVector& b,
-                     linalg::ComplexVector& x) {
-  if (active_ == SolverKind::kDense)
-    linalg::lu_solve_in_place(a_dense_, perm_, b, x);
-  else
-    lu_.solve(b, x);
 }
 
 }  // namespace si::spice

@@ -1,10 +1,13 @@
-// MNA assembly/solve engine shared by every analysis.
+// MNA assembly/solve engines shared by every analysis.
 //
-// The engine owns the matrix representation (dense or sparse, chosen by
-// system size with an SI_SOLVER override), the per-topology caches
-// (sparsity pattern, symbolic factorization, element stamp-slot memos),
-// and the preallocated workspaces that make the Newton and transient
-// hot loops allocation-free after the first solve.
+// Every real-valued Newton solve runs through one NewtonCore: one sparse
+// system with its per-topology caches (sparsity pattern, symbolic
+// factorization, element stamp-slot memos) and the preallocated
+// workspaces that make the Newton and transient hot loops
+// allocation-free after the first solve.  MnaEngine, the event engine's
+// ScopedMnaEngine and the Monte-Carlo McDcEngine each wrap it with what
+// is their own: rebuild on a topology edit, per-scope state, the shared
+// nominal symbolic factorization.
 //
 // Stamp-partition contract (see DESIGN.md): elements whose stamp values
 // are fixed for one solve context — everything except devices reporting
@@ -15,40 +18,23 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "linalg/lu.hpp"
 #include "linalg/sparse.hpp"
 #include "spice/dc.hpp"
 
 namespace si::spice {
 
-/// Matrix representation used by the MNA engines.
-enum class SolverKind {
-  kAuto,    ///< by size: dense < kSparseAutoThreshold <= sparse
-  kDense,   ///< dense partial-pivot LU (the seed behavior)
-  kSparse,  ///< CSR + symbolic-reuse sparse LU
-  /// Retired: the BBD/Schur solver is gone, and resolve_solver() maps
-  /// this spelling to kSparse.  Kept only until the callers that still
-  /// name it in a switch drop it.
-  kSchur,
-};
+/// Retired solver selector: sparse is the only MNA representation.
+/// Kept, with resolve_solver(), only because the end-to-end benchmark
+/// (perfbench/src/transistor.cpp) still names every enumerator; no
+/// engine takes one.
+enum class SolverKind { kAuto, kDense, kSparse, kSchur };
 
-/// Auto crossover: systems with at least this many unknowns go sparse.
-/// Below it the dense factor's contiguous inner loops win.
-constexpr std::size_t kSparseAutoThreshold = 32;
-
-/// Parses the SI_SOLVER environment variable.  Unset or empty means
-/// kAuto; "auto", "dense", "sparse" select explicitly; any
-/// other value throws std::invalid_argument naming the valid choices (a
-/// typo like SI_SOLVER=sprase must not silently benchmark the wrong
-/// solver).
-SolverKind solver_kind_from_env();
-
-/// Resolves a requested kind to a concrete one.  An explicit request
-/// wins (the retired kSchur resolves to kSparse); kAuto defers to
-/// SI_SOLVER, then to the size heuristic.
+/// Always SolverKind::kSparse (see SolverKind).
 SolverKind resolve_solver(SolverKind requested, std::size_t n);
 
 /// Engine instrumentation, exposed for tests and benchmarks.
@@ -56,12 +42,88 @@ struct MnaStats {
   std::uint64_t pattern_builds = 0;     ///< discovery passes (per topology)
   std::uint64_t symbolic_factors = 0;   ///< sparse pivoting factorizations
   std::uint64_t numeric_refactors = 0;  ///< sparse numeric-only refactors
-  std::uint64_t dense_factors = 0;      ///< dense LU factorizations
   std::uint64_t base_stamps = 0;        ///< baseline (linear-part) stamps
   std::uint64_t nonlinear_stamps = 0;   ///< per-iteration device restamps
   std::uint64_t workspace_allocs = 0;   ///< workspace (re)allocations
   std::uint64_t pivot_repivots = 0;     ///< refactors rescued by re-pivoting
-  std::uint64_t dense_fallbacks = 0;    ///< pattern-miss dense engagements
+  std::uint64_t pattern_misses = 0;     ///< topologies whose pattern grew
+};
+
+/// One sparse MNA system and the damped Newton loop over it.
+class NewtonCore {
+ public:
+  /// `grow_on_miss`: a stamp outside the discovered pattern adds the
+  /// missed coordinate to the pattern and retries (false: the
+  /// PatternMissError propagates to the caller).
+  NewtonCore(Circuit& c, MnaStats& stats, bool grow_on_miss = true)
+      : circuit_(&c), stats_(&stats), grow_on_miss_(grow_on_miss) {}
+
+  /// Binds the whole (finalized) circuit: every element, no scope.
+  void bind(const StampContext& ctx);
+
+  /// Binds a scope-restricted system: `linear` / `nonlinear` are the
+  /// elements stamped in the baseline / per iteration, and scope[i] != 0
+  /// marks the unknowns solved for.  Out-of-scope unknowns become
+  /// identity rows holding their value (see RealStamper::set_scope).
+  void bind(std::vector<Element*> linear, std::vector<Element*> nonlinear,
+            std::vector<unsigned char> scope, const StampContext& ctx);
+
+  /// One damped Newton solve at a fixed context: seeds from `x` (which
+  /// must have system_size() entries), adds `gdiag` from every in-scope
+  /// node to ground, returns the iterations used and throws
+  /// ConvergenceError on failure.  `before_stamp`, when set, runs before
+  /// every stamping pass.
+  int newton(const StampContext& ctx, linalg::Vector& x,
+             const NewtonOptions& opt, double gdiag,
+             const std::function<void()>& before_stamp = {});
+
+  /// Baseline: the linear elements plus `gdiag` on the in-scope node
+  /// diagonals, then the identity rows of the out-of-scope unknowns.
+  void stamp_baseline(const StampContext& ctx, const linalg::Vector& x,
+                      double gdiag);
+  /// One iteration's system: the baseline plus the nonlinear restamp.
+  void assemble(const StampContext& ctx, const linalg::Vector& x);
+  /// The system of the last assemble().
+  const linalg::SparseMatrixD& matrix() const { return a_; }
+
+  /// Runs the pivoting factorization of `a` (same pattern) now; the
+  /// next Newton iteration refactors over its symbolic.
+  void factor(const linalg::SparseMatrixD& a);
+  /// Symbolic factorizations the LU has run (factor() and re-pivots).
+  std::size_t symbolic_builds() const { return lu_.symbolic_builds(); }
+
+  const std::vector<Element*>& linear() const { return linear_; }
+  const std::vector<Element*>& nonlinear() const { return nonlinear_; }
+
+ private:
+  void discover(const StampContext& ctx);
+  int newton_once(const StampContext& ctx, linalg::Vector& x,
+                  const NewtonOptions& opt, double gdiag,
+                  const std::function<void()>& before_stamp);
+  bool in_scope(std::size_t i) const { return scope_.empty() || scope_[i]; }
+
+  Circuit* circuit_;
+  MnaStats* stats_;
+  bool grow_on_miss_;
+
+  std::vector<Element*> linear_;
+  std::vector<Element*> nonlinear_;
+  std::vector<unsigned char> scope_;  // empty: every unknown in scope
+  std::vector<std::pair<int, int>> grown_;  // coordinates added on misses
+
+  std::shared_ptr<const linalg::SparsePattern> pattern_;
+  linalg::SparseMatrixD a0_;  // baseline
+  linalg::SparseMatrixD a_;   // per-iteration copy
+  linalg::SlotMemo lin_memo_;  // baseline stamp slots (once per solve)
+  linalg::SlotMemo nl_memo_;   // nonlinear restamp slots (per iteration)
+  bool lin_memo_warm_ = false;
+  bool nl_memo_warm_ = false;
+  linalg::SparseLuD lu_;
+  bool lu_warm_ = false;
+
+  linalg::Vector b0_;     // baseline RHS (linear contributions)
+  linalg::Vector b_;      // per-iteration RHS
+  linalg::Vector x_new_;  // Newton update target
 };
 
 /// Real-valued MNA engine: damped Newton solves for DC and transient.
@@ -72,7 +134,10 @@ struct MnaStats {
 /// re-finalized).
 class MnaEngine {
  public:
-  explicit MnaEngine(Circuit& c, SolverKind kind = SolverKind::kAuto);
+  explicit MnaEngine(Circuit& c) : circuit_(&c), core_(c, stats_) {}
+  // The core points at stats_: copies would share it.
+  MnaEngine(const MnaEngine&) = delete;
+  MnaEngine& operator=(const MnaEngine&) = delete;
 
   /// One damped Newton solve at a fixed context.  Identical contract to
   /// the free newton_solve(): seeds from `x` (resized/zeroed if the
@@ -82,53 +147,16 @@ class MnaEngine {
   int newton(const StampContext& ctx, linalg::Vector& x,
              const NewtonOptions& opt, double extra_gdiag = 0.0);
 
-  /// The concrete representation in use (never kAuto after the first
-  /// solve; dense until then).
-  SolverKind active_solver() const { return active_; }
-
   const MnaStats& stats() const { return stats_; }
 
   Circuit& circuit() { return *circuit_; }
 
  private:
-  void prepare(const StampContext& ctx);
-  void stamp_baseline(const StampContext& ctx, const linalg::Vector& x,
-                      double gdiag);
-  void assemble_iteration(const StampContext& ctx, const linalg::Vector& x);
-  void solve_dense();
-  void solve_sparse();
-
   Circuit* circuit_;
-  SolverKind requested_;
-  SolverKind active_ = SolverKind::kDense;
   std::uint64_t revision_ = 0;
   bool prepared_ = false;
-  bool dense_fallback_ = false;  ///< pattern contract violated; stay dense
   MnaStats stats_;
-
-  std::vector<Element*> linear_;
-  std::vector<Element*> nonlinear_;
-
-  // Shared workspaces.
-  linalg::Vector b0_;     // baseline RHS (linear contributions)
-  linalg::Vector b_;      // per-iteration RHS
-  linalg::Vector x_new_;  // Newton update target
-
-  // Dense path.
-  linalg::Matrix a0_dense_;  // baseline matrix
-  linalg::Matrix a_dense_;   // per-iteration copy, factored in place
-  std::vector<std::size_t> perm_;
-
-  // Sparse path.
-  std::shared_ptr<const linalg::SparsePattern> pattern_;
-  linalg::SparseMatrixD a0_sparse_;
-  linalg::SparseMatrixD a_sparse_;
-  linalg::SlotMemo lin_memo_;  // baseline stamp slots (once per solve)
-  linalg::SlotMemo nl_memo_;   // nonlinear restamp slots (per iteration)
-  bool lin_memo_warm_ = false;
-  bool nl_memo_warm_ = false;
-  linalg::SparseLuD lu_;
-  bool lu_warm_ = false;
+  NewtonCore core_;
 };
 
 /// Complex-valued engine for the small-signal analyses (AC sweep, noise
@@ -137,7 +165,7 @@ class MnaEngine {
 /// sides.
 class AcEngine {
  public:
-  explicit AcEngine(Circuit& c, SolverKind kind = SolverKind::kAuto);
+  explicit AcEngine(Circuit& c) : circuit_(&c) {}
 
   /// Assembles and factors the small-signal system at angular frequency
   /// `omega`.  rhs() is zeroed; source stamps (AC magnitudes) land
@@ -148,29 +176,24 @@ class AcEngine {
   const linalg::ComplexVector& rhs() const { return b_; }
 
   /// Solves A x = b for the system of the last assemble().
-  void solve(const linalg::ComplexVector& b, linalg::ComplexVector& x);
+  void solve(const linalg::ComplexVector& b, linalg::ComplexVector& x) {
+    lu_.solve(b, x);
+  }
 
-  SolverKind active_solver() const { return active_; }
   const MnaStats& stats() const { return stats_; }
 
  private:
   void prepare();
 
   Circuit* circuit_;
-  SolverKind requested_;
-  SolverKind active_ = SolverKind::kDense;
   std::uint64_t revision_ = 0;
   bool prepared_ = false;
-  bool dense_fallback_ = false;
   MnaStats stats_;
 
   linalg::ComplexVector b_;
-
-  linalg::ComplexMatrix a_dense_;  // assembled then factored in place
-  std::vector<std::size_t> perm_;
-
+  std::vector<std::pair<int, int>> grown_;  // coordinates added on misses
   std::shared_ptr<const linalg::SparsePattern> pattern_;
-  linalg::SparseMatrixZ a_sparse_;
+  linalg::SparseMatrixZ a_;
   linalg::SlotMemo memo_;
   linalg::SparseLuZ lu_;
   bool lu_warm_ = false;

@@ -20,15 +20,14 @@
 #include <functional>
 #include <utility>
 
-#include "spice/dc.hpp"
+#include "spice/mna.hpp"
 
 namespace si::spice {
 
 /// See the file comment.  Construct once per circuit and reuse across
 /// trials; the pattern, the nominal symbolic factorization, and all
 /// workspaces are rebuilt only when Circuit::revision() changes.  The
-/// engine always uses the sparse representation regardless of system
-/// size.
+/// Newton loop itself is the shared NewtonCore.
 class McDcEngine {
  public:
   struct Options {
@@ -44,8 +43,13 @@ class McDcEngine {
     linalg::Vector nominal_seed;
   };
 
-  McDcEngine(Circuit& c, Options opt) : circuit_(&c), opt_(std::move(opt)) {}
+  McDcEngine(Circuit& c, Options opt)
+      : circuit_(&c), opt_(std::move(opt)),
+        core_(c, stats_, /*grow_on_miss=*/false) {}
   explicit McDcEngine(Circuit& c) : McDcEngine(c, Options{}) {}
+  // The core points at stats_: copies would share it.
+  McDcEngine(const McDcEngine&) = delete;
+  McDcEngine& operator=(const McDcEngine&) = delete;
 
   /// Solves one trial over the shared nominal symbolic factorization.
   /// `apply(seed)` must (re)apply that trial's parameter draw to the
@@ -54,10 +58,15 @@ class McDcEngine {
   /// function of the seed.  Pivot drift re-runs the pivoting
   /// factorization on the trial's own values (the symbolic is restored
   /// from the nominal matrix before the next trial).  Returns the
-  /// iterations used; throws ConvergenceError.
+  /// iterations used; throws ConvergenceError, PatternMissError (the
+  /// pattern is never grown: a grown pattern would make a trial depend
+  /// on the trials before it) and, through opt.newton.cancel,
+  /// runtime::CancelledError.
   int solve_scalar(std::uint64_t seed,
                    const std::function<void(std::uint64_t)>& apply,
                    linalg::Vector& x);
+
+  const MnaStats& stats() const { return stats_; }
 
  private:
   void prepare();
@@ -67,28 +76,15 @@ class McDcEngine {
   Options opt_;
   std::uint64_t revision_ = 0;
   bool prepared_ = false;
+  MnaStats stats_;
+  NewtonCore core_;
 
-  std::vector<Element*> linear_;
-  std::vector<Element*> nonlinear_;
-  std::size_t n_ = 0;
-  std::size_t n_nodes_ = 0;
-
-  std::shared_ptr<const linalg::SparsePattern> pattern_;
   linalg::Vector x_nominal_;  // nominal operating point: every trial's
                               // Newton seed and the symbolic reference
                               // stamping point
   linalg::SparseMatrixD a_nominal_;  // first-iteration nominal system
-  linalg::SparseMatrixD a0_;         // per-trial linear baseline
-  linalg::SparseMatrixD a_;          // per-iteration values
-  linalg::SparseLuD lu_;
-  bool repivoted_ = false;  // lu_ holds a trial's own pivot order
-  linalg::SlotMemo lin_memo_;
-  linalg::SlotMemo nl_memo_;
-  bool lin_memo_warm_ = false;
-  bool nl_memo_warm_ = false;
-  linalg::Vector b0_;
-  linalg::Vector b_;
-  linalg::Vector x_new_;
+  std::size_t nominal_builds_ = 0;   // core_.symbolic_builds() when the
+                                     // nominal symbolic was installed
 };
 
 }  // namespace si::spice

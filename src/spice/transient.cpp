@@ -37,7 +37,7 @@ struct TransientTelemetry {
 TransientEngine transient_engine_from_env() {
   // Strict parse: an unknown engine name used to fall back to kAuto
   // silently, so SI_TRANSIENT=evnt benchmarked the monolithic engine
-  // while claiming event timings.  It now throws like SI_SOLVER.
+  // while claiming event timings.  It now throws.
   const auto v = runtime::parse_env_choice("SI_TRANSIENT",
                                            {"auto", "event", "monolithic"});
   if (!v || *v == "auto") return TransientEngine::kAuto;

@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 
+#include "mna_test_util.hpp"
 #include "obs/telemetry.hpp"
 #include "si/netlists.hpp"
 #include "spice/transient.hpp"
@@ -198,6 +199,47 @@ TEST(EventEngine, TelemetryCountersAdvance) {
   EXPECT_GT(si::obs::counter("event.scoped_solves").value(), 0u);
   EXPECT_GT(si::obs::counter("event.events_dispatched").value(), 0u);
   EXPECT_EQ(si::obs::counter("event.full_activations").value(), 0u);
+  si::obs::reset();
+  si::obs::set_enabled(false);
+}
+
+/// The scoped engine shares MnaEngine's pattern growth: a stamp
+/// outside a scope's discovered pattern grows that pattern and the
+/// step solves on sparse again.  Same LatePathElement scenario as
+/// MnaEngine.PatternGrowsOncePerTopologyAndResetsOnEdit, run through
+/// the event engine.
+TEST(EventEngine, PatternGrowsOnMissOncePerTopology) {
+  si::obs::set_enabled(true);
+  si::obs::reset();
+  Circuit c;
+  const NodeId a = c.node("a");
+  const NodeId b = c.node("b");
+  const NodeId d = c.node("d");
+  c.add<VoltageSource>("V1", a, c.ground(), 1.0);
+  c.add<Resistor>("R1", a, b, 1e3);
+  c.add<Resistor>("R2", b, c.ground(), 1e3);
+  c.add<Resistor>("R3", d, c.ground(), 1e3);
+  c.add<si::test::LatePathElement>("X1", b, d, /*t_on=*/0.45);
+  TransientOptions topt;
+  topt.t_stop = 1.0;
+  topt.dt = 0.1;
+  topt.erc_gate = false;
+  topt.engine = TransientEngine::kEvent;
+  // The bridge turns on without any event, so no block may go latent.
+  topt.event_quiescent_tol = 0.0;
+  Transient tr(c, topt);
+  tr.probe_voltage("b");
+  const TransientResult r = tr.run();
+
+  const auto& vb = r.signal("v(b)");
+  ASSERT_EQ(vb.size(), r.time.size());
+  for (std::size_t k = 0; k < vb.size(); ++k)
+    EXPECT_NEAR(vb[k], r.time[k] < 0.45 ? 0.5 : 0.4, 1e-6)
+        << "t = " << r.time[k];
+#if SI_OBS_ENABLED
+  EXPECT_EQ(si::obs::counter("mna.pattern_misses").value(), 1u);
+  EXPECT_EQ(si::obs::counter("event.full_activations").value(), 0u);
+#endif
   si::obs::reset();
   si::obs::set_enabled(false);
 }

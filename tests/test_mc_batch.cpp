@@ -9,6 +9,7 @@
 
 #include "analysis/mc_batch.hpp"
 #include "obs/telemetry.hpp"
+#include "runtime/cancel.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/rng_stream.hpp"
 #include "spice/elements.hpp"
@@ -172,6 +173,30 @@ TEST(McBatch, TwoWidthsShareOneCacheEntry) {
   const auto single = analysis::monte_carlo_dc(10, w, opts);
   EXPECT_EQ(applies->load(), after_wide);
   EXPECT_EQ(single.samples, wide.samples);
+}
+
+TEST(McBatch, CancelUnwindsTrialsPastTheLadder) {
+  // The token fires on the first trial's draw, after the nominal solve:
+  // the trial's Newton checkpoint must unwind the whole run with
+  // CancelledError (not a ConvergenceError the gmin-ladder fallback
+  // would retry), serially and on the pool.
+  for (const bool parallel : {false, true}) {
+    runtime::CancelToken token;
+    analysis::McDcWorkload w = analysis::modulator_mismatch_workload(2);
+    w.newton.cancel = &token;
+    w.build = [build = w.build, &token](spice::Circuit& c) {
+      analysis::McDcTrialFns fns = build(c);
+      fns.apply = [apply = fns.apply, &token](std::uint64_t seed) {
+        token.cancel();
+        apply(seed);
+      };
+      return fns;
+    };
+    analysis::McBatchOptions opt;
+    opt.parallel = parallel;
+    EXPECT_THROW(analysis::monte_carlo_dc(32, w, opt), runtime::CancelledError)
+        << (parallel ? "parallel" : "serial");
+  }
 }
 
 TEST(McStatistics, HistogramLoadsSamplesIntoRegistry) {

@@ -1,13 +1,14 @@
-// MnaEngine behavior: solver selection (auto / SI_SOLVER / explicit),
-// dense-vs-sparse parity on transistor-level netlists, symbolic-reuse
-// accounting, and pattern-cache invalidation on circuit edits.
+// MnaEngine behavior: parity with the dense linalg::lu oracle on
+// transistor-level netlists, symbolic-reuse accounting, pattern-cache
+// invalidation on circuit edits, and pattern growth on a stamp outside
+// the discovered pattern.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
-#include <stdexcept>
 #include <string>
 
+#include "mna_test_util.hpp"
 #include "obs/telemetry.hpp"
 #include "si/netlists.hpp"
 #include "spice/dc.hpp"
@@ -19,96 +20,28 @@ namespace {
 using namespace si::spice;
 using namespace si::cells::netlists;
 
-/// Saves/clears SI_SOLVER for the test's duration.
-class EnvGuard {
- public:
-  EnvGuard() {
-    if (const char* v = std::getenv("SI_SOLVER")) saved_ = v;
-    unsetenv("SI_SOLVER");
+TEST(SolverSelect, SolverEnvIsIgnored) {
+  // Sparse is the only representation: the retired SI_SOLVER variable
+  // is never read (not even to reject junk), and the retired selector
+  // resolves to sparse for every spelling and size.
+  for (const char* v : {"dense", "bogus"}) {
+    setenv("SI_SOLVER", v, 1);
+    Circuit c;
+    c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
+    MemoryPairOptions opt;
+    opt.switches_always_on = true;
+    build_class_ab_memory_pair(c, opt, "m_");
+    MnaEngine engine(c);
+    DcOptions dco;
+    EXPECT_NO_THROW(dc_operating_point(c, engine, dco)) << v;
+    EXPECT_EQ(engine.stats().pattern_builds, 1u);
+    EXPECT_GE(engine.stats().symbolic_factors, 1u);
   }
-  ~EnvGuard() {
-    if (saved_.empty())
-      unsetenv("SI_SOLVER");
-    else
-      setenv("SI_SOLVER", saved_.c_str(), 1);
-  }
-
- private:
-  std::string saved_;
-};
-
-TEST(SolverSelect, AutoUsesSizeThreshold) {
-  EnvGuard env;
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, kSparseAutoThreshold - 1),
-            SolverKind::kDense);
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, kSparseAutoThreshold),
-            SolverKind::kSparse);
-  // One sparse solver at every size: the 128-section modulator core
-  // (2178 unknowns) stays on flat sparse.
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, 2178), SolverKind::kSparse);
-}
-
-TEST(SolverSelect, ExplicitRequestWins) {
-  EnvGuard env;
-  setenv("SI_SOLVER", "sparse", 1);
-  EXPECT_EQ(resolve_solver(SolverKind::kDense, 1000), SolverKind::kDense);
-  EXPECT_EQ(resolve_solver(SolverKind::kSparse, 2), SolverKind::kSparse);
-  // The retired Schur spelling resolves to flat sparse.
-  EXPECT_EQ(resolve_solver(SolverKind::kSchur, 2), SolverKind::kSparse);
-}
-
-TEST(SolverSelect, EnvOverridesAuto) {
-  EnvGuard env;
-  setenv("SI_SOLVER", "sparse", 1);
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, 2), SolverKind::kSparse);
-  setenv("SI_SOLVER", "dense", 1);
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, 1000), SolverKind::kDense);
-  setenv("SI_SOLVER", "auto", 1);
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, 2), SolverKind::kDense);
-  setenv("SI_SOLVER", "", 1);
-  EXPECT_EQ(resolve_solver(SolverKind::kAuto, 2), SolverKind::kDense);
-}
-
-TEST(SolverSelect, RejectsUnknownEnvValues) {
-  EnvGuard env;
-  // A typo such as SI_SOLVER=sprase used to silently mean "auto" and
-  // benchmark the wrong solver; it must fail loudly, naming the valid
-  // values.
-  setenv("SI_SOLVER", "sprase", 1);
-  try {
-    (void)solver_kind_from_env();
-    FAIL() << "expected std::invalid_argument for SI_SOLVER=sprase";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("sprase"), std::string::npos) << msg;
-    for (const char* valid : {"auto", "dense", "sparse"})
-      EXPECT_NE(msg.find(valid), std::string::npos) << msg;
-    EXPECT_EQ(msg.find("schur"), std::string::npos) << msg;
-  }
-  // The Schur solver is gone; its old spelling is now a typo like any
-  // other.
-  setenv("SI_SOLVER", "schur", 1);
-  EXPECT_THROW((void)solver_kind_from_env(), std::invalid_argument);
-  setenv("SI_SOLVER", "bogus", 1);
-  EXPECT_THROW((void)resolve_solver(SolverKind::kAuto, 2),
-               std::invalid_argument);
-  // Explicit requests never consult the environment.
-  EXPECT_EQ(resolve_solver(SolverKind::kDense, 2), SolverKind::kDense);
-}
-
-TEST(SolverSelect, EnvDrivesEngineThroughAnalyses) {
-  EnvGuard env;
-  setenv("SI_SOLVER", "sparse", 1);
-  Circuit c;
-  c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
-  MemoryPairOptions opt;
-  opt.switches_always_on = true;
-  build_class_ab_memory_pair(c, opt, "m_");
-  MnaEngine engine(c);
-  DcOptions dco;
-  dc_operating_point(c, engine, dco);
-  EXPECT_EQ(engine.active_solver(), SolverKind::kSparse);
-  EXPECT_EQ(engine.stats().pattern_builds, 1u);
+  unsetenv("SI_SOLVER");
+  for (SolverKind k : {SolverKind::kAuto, SolverKind::kDense,
+                       SolverKind::kSparse, SolverKind::kSchur})
+    for (std::size_t n : {2u, 2178u})
+      EXPECT_EQ(resolve_solver(k, n), SolverKind::kSparse);
 }
 
 /// Builds one Table 2 modulator-core circuit with supply and a small
@@ -123,19 +56,22 @@ ModulatorCoreHandles build_modulator_fixture(Circuit& c, int sections) {
 }
 
 TEST(MnaEngine, DenseSparseDcParityOnModulatorCore) {
-  auto solve = [](SolverKind kind) {
-    Circuit c;
-    build_modulator_fixture(c, 1);
-    MnaEngine engine(c, kind);
-    DcOptions opt;
-    opt.erc_gate = false;
-    return dc_operating_point(c, engine, opt).x;
-  };
-  const auto xd = solve(SolverKind::kDense);
-  const auto xs = solve(SolverKind::kSparse);
-  ASSERT_EQ(xd.size(), xs.size());
-  for (std::size_t i = 0; i < xd.size(); ++i)
-    EXPECT_NEAR(xd[i], xs[i], 1e-9) << "unknown " << i;
+  // The engine's DC point on a one-section core (below the size where
+  // sparse used to be the default) against the dense linalg::lu
+  // oracle: one more Newton step from the converged point, solved both
+  // ways, must stay on it.
+  Circuit c;
+  build_modulator_fixture(c, 1);
+  MnaEngine engine(c);
+  DcOptions opt;
+  opt.erc_gate = false;
+  const auto x = dc_operating_point(c, engine, opt).x;
+  StampContext ctx;
+  const auto step = si::test::oracle_step(c, ctx, x);
+  ASSERT_EQ(step.dense.size(), x.size());
+  EXPECT_LT(si::test::max_rel_diff(step.sparse, step.dense), 1e-10);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    EXPECT_NEAR(x[i], step.dense[i], 1e-9) << "unknown " << i;
 }
 
 TEST(MnaEngine, SymbolicFactorizationReusedAcrossTransientSteps) {
@@ -146,7 +82,7 @@ TEST(MnaEngine, SymbolicFactorizationReusedAcrossTransientSteps) {
   c.add<CurrentSource>("Iin", c.ground(), h.in, 5e-6);
   c.finalize();
 
-  MnaEngine engine(c, SolverKind::kSparse);
+  MnaEngine engine(c);
   NewtonOptions nopt;
   StampContext ctx;
   ctx.mode = AnalysisMode::kDcOperatingPoint;
@@ -185,7 +121,7 @@ TEST(MnaEngine, PatternCacheInvalidatedOnCircuitEdit) {
   c.add<Resistor>("R2", b, c.ground(), 1e3);
   c.finalize();
 
-  MnaEngine engine(c, SolverKind::kSparse);
+  MnaEngine engine(c);
   NewtonOptions nopt;
   StampContext ctx;
   si::linalg::Vector x;
@@ -201,51 +137,22 @@ TEST(MnaEngine, PatternCacheInvalidatedOnCircuitEdit) {
   c.finalize();
   engine.newton(ctx, x, nopt);
   EXPECT_EQ(engine.stats().pattern_builds, 2u);
-  // Divider now 1k into (1k + 2k || ...): check against the dense path.
-  Circuit ref;
-  const NodeId ra = ref.node("a");
-  const NodeId rb = ref.node("b");
-  const NodeId rd = ref.node("d");
-  ref.add<VoltageSource>("V1", ra, ref.ground(), 1.0);
-  ref.add<Resistor>("R1", ra, rb, 1e3);
-  ref.add<Resistor>("R2", rb, ref.ground(), 1e3);
-  ref.add<Resistor>("R3", rb, rd, 1e3);
-  ref.add<Resistor>("R4", rd, ref.ground(), 1e3);
-  MnaEngine dense(ref, SolverKind::kDense);
-  si::linalg::Vector xr;
-  dense.newton(ctx, xr, nopt);
-  ASSERT_EQ(x.size(), xr.size());
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(x[i], xr[i], 1e-12);
+  // Divider now 1k into (1k + 2k || ...): check against the dense
+  // linalg::lu oracle on the edited circuit.
+  const auto step = si::test::oracle_step(c, ctx, x);
+  ASSERT_EQ(x.size(), step.dense.size());
+  for (std::size_t i = 0; i < x.size(); ++i)
+    EXPECT_NEAR(x[i], step.dense[i], 1e-12);
+  EXPECT_NEAR(x[b - 1], 0.4, 1e-8);
 }
 
-/// Deliberately violates the stamp-pattern contract: bridges its two
-/// nodes only once ctx.time reaches t_on, so pattern discovery before
-/// t_on never sees the (a, b) coordinates and the first post-t_on stamp
-/// raises PatternMissError.
-class LatePathElement : public Element {
- public:
-  LatePathElement(std::string name, NodeId a, NodeId b, double t_on)
-      : Element(std::move(name)), a_(a), b_(b), t_on_(t_on) {}
+using si::test::LatePathElement;
 
-  std::vector<Terminal> terminals() const override {
-    return {{a_, "p", false}, {b_, "m", false}};
-  }
-
-  void stamp(RealStamper& s, const StampContext& ctx) override {
-    if (ctx.mode == AnalysisMode::kTransient && ctx.time >= t_on_)
-      s.conductance(a_, b_, 1e-3);
-  }
-
- private:
-  NodeId a_, b_;
-  double t_on_;
-};
-
-TEST(MnaEngine, DenseFallbackIsStickyPerTopologyAndResetsOnEdit) {
+TEST(MnaEngine, PatternGrowsOncePerTopologyAndResetsOnEdit) {
   si::obs::set_enabled(true);
 #if SI_OBS_ENABLED
-  si::obs::Counter& engaged = si::obs::counter("mna.dense_fallback_engaged");
-  const std::uint64_t engaged_before = engaged.value();
+  si::obs::Counter& misses = si::obs::counter("mna.pattern_misses");
+  const std::uint64_t misses_before = misses.value();
 #endif
 
   Circuit c;
@@ -259,69 +166,107 @@ TEST(MnaEngine, DenseFallbackIsStickyPerTopologyAndResetsOnEdit) {
   c.add<LatePathElement>("X1", b, d, /*t_on=*/0.5);
   c.finalize();
 
-  MnaEngine engine(c, SolverKind::kSparse);
+  MnaEngine engine(c);
   NewtonOptions nopt;
   StampContext ctx;
   ctx.mode = AnalysisMode::kTransient;
   ctx.dt = 1e-3;
   si::linalg::Vector x;
 
-  // Before t_on the discovered pattern is complete: sparse, no fallback.
+  // Before t_on the discovered pattern is complete: no miss.
   ctx.time = 1e-3;
   engine.newton(ctx, x, nopt);
-  EXPECT_EQ(engine.active_solver(), SolverKind::kSparse);
-  EXPECT_EQ(engine.stats().dense_fallbacks, 0u);
+  EXPECT_EQ(engine.stats().pattern_misses, 0u);
+  EXPECT_EQ(engine.stats().pattern_builds, 1u);
   EXPECT_NEAR(x[b - 1], 0.5, 1e-6);
 
-  // Crossing t_on stamps outside the frozen pattern: the solve still
-  // succeeds (dense rescue) and the engagement is counted, not silent.
+  // Crossing t_on stamps outside the frozen pattern: the engine grows
+  // the pattern by the missed coordinate and solves on sparse again;
+  // the miss is counted, not silent.
   ctx.time = 1.0;
   engine.newton(ctx, x, nopt);
-  EXPECT_EQ(engine.active_solver(), SolverKind::kDense);
-  EXPECT_EQ(engine.stats().dense_fallbacks, 1u);
+  EXPECT_EQ(engine.stats().pattern_misses, 1u);
+  EXPECT_EQ(engine.stats().pattern_builds, 2u);
 #if SI_OBS_ENABLED
-  EXPECT_EQ(engaged.value(), engaged_before + 1);
+  EXPECT_EQ(misses.value(), misses_before + 1);
 #endif
   // b now loaded by R2 || (1k bridge + R3) = 1k || 2k.
   EXPECT_NEAR(x[b - 1], 0.4, 1e-6);
 
-  // Same topology: the fallback is sticky — no sparse retry per solve.
+  // Same topology: the grown pattern holds the coordinate, so no new
+  // miss and no rebuild.
   ctx.time = 1.1;
   engine.newton(ctx, x, nopt);
-  EXPECT_EQ(engine.active_solver(), SolverKind::kDense);
-  EXPECT_EQ(engine.stats().dense_fallbacks, 1u);
+  EXPECT_EQ(engine.stats().pattern_misses, 1u);
+  EXPECT_EQ(engine.stats().pattern_builds, 2u);
+  EXPECT_NEAR(x[b - 1], 0.4, 1e-6);
 
-  // Edit the circuit (revision bump): the fallback must clear and the
-  // rebuilt pattern — discovered at a post-t_on time — works sparsely.
-  // This used to pin the engine to the dense solver forever.
+  // Edit the circuit (revision bump): the pattern is rediscovered from
+  // scratch at a post-t_on time, so it holds the bridge without a miss.
   c.add<Resistor>("R4", d, c.ground(), 1e6);
   c.finalize();
   ctx.time = 1.2;
   engine.newton(ctx, x, nopt);
-  EXPECT_EQ(engine.active_solver(), SolverKind::kSparse);
-  EXPECT_EQ(engine.stats().dense_fallbacks, 1u);
+  EXPECT_EQ(engine.stats().pattern_misses, 1u);
+  EXPECT_EQ(engine.stats().pattern_builds, 3u);
 #if SI_OBS_ENABLED
-  EXPECT_EQ(engaged.value(), engaged_before + 1);
+  EXPECT_EQ(misses.value(), misses_before + 1);
 #endif
   EXPECT_NEAR(x[b - 1], 0.4, 1e-3);  // R4 = 1M barely loads node d
 
   si::obs::set_enabled(false);
 }
 
-TEST(MnaEngine, AutoPicksSparseForLargeNetlists) {
-  EnvGuard env;
+/// Small-signal twin of LatePathElement: bridges its nodes only above
+/// omega_on, so the AC discovery pass (at omega = 1) misses (a, b).
+class LateAcPathElement : public Element {
+ public:
+  LateAcPathElement(std::string name, NodeId a, NodeId b, double omega_on)
+      : Element(std::move(name)), a_(a), b_(b), omega_on_(omega_on) {}
+
+  std::vector<Terminal> terminals() const override {
+    return {{a_, "p", false}, {b_, "m", false}};
+  }
+  void stamp(RealStamper&, const StampContext&) override {}
+  void stamp_ac(ComplexStamper& s, double omega) const override {
+    if (omega > omega_on_) s.admittance(a_, b_, 1e-3);
+  }
+
+ private:
+  NodeId a_, b_;
+  double omega_on_;
+};
+
+TEST(AcEngine, PatternGrowsOncePerTopology) {
   Circuit c;
-  c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
-  DelayStageOptions opt;
-  const auto h = build_delay_line_chain(c, 6, opt, "dl_");
-  c.add<CurrentSource>("Iin", c.ground(), h.in, 5e-6);
+  const NodeId a = c.node("a");
+  const NodeId b = c.node("b");
+  const NodeId d = c.node("d");
+  c.add<VoltageSource>("V1", a, c.ground(), 1.0).set_ac_magnitude(1.0);
+  c.add<Resistor>("R1", a, b, 1e3);
+  c.add<Resistor>("R2", b, c.ground(), 1e3);
+  c.add<Resistor>("R3", d, c.ground(), 1e3);
+  c.add<LateAcPathElement>("X1", b, d, /*omega_on=*/10.0);
   c.finalize();
-  ASSERT_GE(c.system_size(), kSparseAutoThreshold);
-  MnaEngine engine(c);
-  DcOptions dco;
-  dco.erc_gate = false;
-  dc_operating_point(c, engine, dco);
-  EXPECT_EQ(engine.active_solver(), SolverKind::kSparse);
+
+  AcEngine engine(c);
+  si::linalg::ComplexVector x;
+  engine.assemble(1.0);
+  engine.solve(engine.rhs(), x);
+  EXPECT_NEAR(std::abs(x[b - 1]), 0.5, 1e-9);
+  EXPECT_EQ(engine.stats().pattern_misses, 0u);
+
+  // Above omega_on the bridge stamps outside the pattern: it grows and
+  // the frequency point solves on sparse with b loaded by 1k || 2k.
+  engine.assemble(100.0);
+  engine.solve(engine.rhs(), x);
+  EXPECT_NEAR(std::abs(x[b - 1]), 0.4, 1e-9);
+  EXPECT_EQ(engine.stats().pattern_misses, 1u);
+  EXPECT_EQ(engine.stats().pattern_builds, 2u);
+
+  engine.assemble(200.0);
+  EXPECT_EQ(engine.stats().pattern_misses, 1u);
+  EXPECT_EQ(engine.stats().pattern_builds, 2u);
 }
 
 TEST(DcSweep, WarmStartMatchesPerPointColdSolves) {

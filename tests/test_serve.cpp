@@ -321,6 +321,27 @@ TEST(JobServer, DeadlineExpiresMidTransient) {
   EXPECT_EQ(server.stats().timed_out, 1u);
 }
 
+TEST(JobServer, DeadlineExpiresMidMonteCarlo) {
+  // An mc job runs its trials through analysis::monte_carlo_dc, whose
+  // Newton loop checkpoints the job's token like every other solve.
+  JobServer server;
+  Json req = Json::object();
+  req.set("id", "late-mc");
+  req.set("deck", slow_tran_deck());
+  req.set("analysis", "mc");
+  req.set("mc_trials", 100000);
+  req.set("mc_measure", "v(d)");
+  req.set("timeout_ms", 50.0);
+  auto f = server.submit(req.dump());
+  const Json reply = reply_of(f);
+  EXPECT_EQ(status_of(reply), "timeout");
+  EXPECT_EQ(error_kind(reply), "timeout");
+  const Json* err = reply.find("error");
+  ASSERT_NE(err, nullptr);
+  EXPECT_EQ(err->find("message")->as_string(), "deadline expired");
+  EXPECT_EQ(server.stats().timed_out, 1u);
+}
+
 TEST(JobServer, CancelUnwindsARunningJob) {
   JobServer server;
   auto f = server.submit(request_line("victim", slow_tran_deck()));

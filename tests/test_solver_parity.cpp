@@ -1,65 +1,60 @@
-// Tier-1 solver-parity assertions: the Table 1 delay-line and Table 2
-// modulator-core transients must produce the same waveforms under
-// SI_SOLVER=dense and SI_SOLVER=sparse — within 1e-9 on the raw
-// doubles, and byte-identical once formatted at the %.6g precision the
-// bench tables emit.
+// Tier-1 solver-parity assertions against an independent oracle: on the
+// paper's Fig. 1 memory cell, Table 1 delay line and Table 2 modulator
+// core, the sparse LU every engine uses must solve the assembled MNA
+// system like the dense partial-pivot linalg::lu does, at the DC
+// operating point and at transient steps, and the engine's converged
+// solution must be a fixed point of that oracle's Newton step.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
-#include <vector>
+#include <memory>
 
+#include "mna_test_util.hpp"
 #include "si/netlists.hpp"
+#include "spice/dc.hpp"
 #include "spice/mna.hpp"
-#include "spice/transient.hpp"
 
 namespace {
 
 using namespace si::spice;
 using namespace si::cells::netlists;
 
-/// Runs `run` with SI_SOLVER forced to `kind`, restoring the prior
-/// value afterwards.
-template <typename F>
-auto with_solver(const char* kind, F run) {
-  std::string saved;
-  bool had = false;
-  if (const char* v = std::getenv("SI_SOLVER")) {
-    saved = v;
-    had = true;
-  }
-  setenv("SI_SOLVER", kind, 1);
-  auto result = run();
-  if (had)
-    setenv("SI_SOLVER", saved.c_str(), 1);
-  else
-    unsetenv("SI_SOLVER");
-  return result;
+/// `x` (a converged engine solve at `ctx`) against the oracle: SparseLu
+/// and linalg::lu agree on the system assembled at `x`, and their next
+/// Newton iterate stays on `x`.
+void expect_oracle_fixed_point(Circuit& c, const StampContext& ctx,
+                               const si::linalg::Vector& x) {
+  const auto step = si::test::oracle_step(c, ctx, x);
+  ASSERT_EQ(step.dense.size(), x.size());
+  EXPECT_LT(si::test::max_rel_diff(step.sparse, step.dense), 1e-10);
+  for (std::size_t i = 0; i + 1 < c.node_count(); ++i)
+    EXPECT_NEAR(x[i], step.dense[i], 1e-9 * (1.0 + std::abs(x[i])))
+        << "node " << c.node_name(static_cast<NodeId>(i + 1));
 }
 
-std::string fmt6(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
+/// DC operating point, then `steps` fixed transient steps of `dt`
+/// through one MnaEngine, each checked against the oracle.
+void check_against_oracle(Circuit& c, double dt, int steps) {
+  MnaEngine engine(c);
+  DcOptions dco;
+  dco.erc_gate = false;
+  si::linalg::Vector x = dc_operating_point(c, engine, dco).x;
+  StampContext ctx;
+  expect_oracle_fixed_point(c, ctx, x);
 
-void expect_signals_match(const TransientResult& dense,
-                          const TransientResult& sparse) {
-  ASSERT_EQ(dense.time.size(), sparse.time.size());
-  ASSERT_EQ(dense.signals.size(), sparse.signals.size());
-  for (const auto& [label, dv] : dense.signals) {
-    const auto& sv = sparse.signal(label);
-    ASSERT_EQ(dv.size(), sv.size()) << label;
-    for (std::size_t k = 0; k < dv.size(); ++k) {
-      EXPECT_NEAR(dv[k], sv[k], 1e-9) << label << " sample " << k;
-      EXPECT_EQ(fmt6(dv[k]), fmt6(sv[k])) << label << " sample " << k;
-    }
+  NewtonOptions nopt;
+  ctx.mode = AnalysisMode::kTransient;
+  ctx.dt = dt;
+  for (int k = 1; k <= steps; ++k) {
+    ctx.time = k * dt;
+    engine.newton(ctx, x, nopt);
+    expect_oracle_fixed_point(c, ctx, x);
+    SolutionView sol(c, x);
+    for (const auto& e : c.elements()) e->accept(sol, ctx);
   }
 }
 
-TransientResult run_table1_chain() {
+TEST(SolverParity, Table1DelayLineTransient) {
   Circuit c;
   c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
   DelayStageOptions opt;
@@ -68,17 +63,10 @@ TransientResult run_table1_chain() {
   c.add<CurrentSource>(
       "Iin", c.ground(), h.in,
       std::make_unique<SineWave>(0.0, 5e-6, 1.0 / (8.0 * T), 0.0));
-  TransientOptions topt;
-  topt.t_stop = 2.0 * T;
-  topt.dt = T / 200.0;
-  topt.erc_gate = false;
-  Transient tr(c, topt);
-  tr.probe_voltage(c.node_name(h.in));
-  tr.probe_voltage(c.node_name(h.out));
-  return tr.run();
+  check_against_oracle(c, T / 200.0, 60);
 }
 
-TransientResult run_table2_modulator() {
+TEST(SolverParity, Table2ModulatorTransient) {
   Circuit c;
   c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
   ModulatorCoreOptions opt;
@@ -90,46 +78,16 @@ TransientResult run_table2_modulator() {
   c.add<CurrentSource>(
       "Iinm", c.ground(), h.in_m,
       std::make_unique<SineWave>(0.0, -4e-6, 1.0 / (8.0 * T), 0.0));
-  TransientOptions topt;
-  topt.t_stop = T;
-  topt.dt = T / 200.0;
-  topt.erc_gate = false;
-  Transient tr(c, topt);
-  tr.probe_voltage(c.node_name(h.out_p));
-  tr.probe_voltage(c.node_name(h.out_m));
-  return tr.run();
+  check_against_oracle(c, T / 200.0, 60);
 }
 
-TEST(SolverParity, Table1DelayLineTransient) {
-  const auto dense = with_solver("dense", run_table1_chain);
-  const auto sparse = with_solver("sparse", run_table1_chain);
-  expect_signals_match(dense, sparse);
-}
-
-TEST(SolverParity, Table2ModulatorTransient) {
-  const auto dense = with_solver("dense", run_table2_modulator);
-  const auto sparse = with_solver("sparse", run_table2_modulator);
-  expect_signals_match(dense, sparse);
-}
-
-TEST(SolverParity, AdaptiveTransientAgreesAcrossSolvers) {
-  auto run = [] {
-    Circuit c;
-    c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
-    MemoryPairOptions opt;
-    const auto h = build_class_ab_memory_pair(c, opt, "m_");
-    c.add<CurrentSource>("Iin", c.ground(), h.d, 8e-6);
-    TransientOptions topt;
-    topt.t_stop = 0.75 * opt.clock_period;
-    topt.dt = opt.clock_period / 500.0;
-    topt.adaptive = true;
-    Transient tr(c, topt);
-    tr.probe_voltage("m_gn");
-    return tr.run();
-  };
-  const auto dense = with_solver("dense", run);
-  const auto sparse = with_solver("sparse", run);
-  expect_signals_match(dense, sparse);
+TEST(SolverParity, Fig1MemoryCellMatchesLuOracle) {
+  Circuit c;
+  c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
+  MemoryPairOptions opt;
+  const auto h = build_class_ab_memory_pair(c, opt, "m_");
+  c.add<CurrentSource>("Iin", c.ground(), h.d, 8e-6);
+  check_against_oracle(c, opt.clock_period / 500.0, 120);
 }
 
 }  // namespace

@@ -27,23 +27,33 @@ namespace {
 std::atomic<std::uint64_t> g_allocs{0};
 }
 
-void* operator new(std::size_t n) {
+// Every replacement stays out of line: once one side is inlined, GCC 12
+// sees malloc() or free() paired with the other side's operator call
+// and reports -Wmismatched-new-delete (an error under SI_WERROR,
+// whichever sanitizers are on).
+[[gnu::noinline]] void* operator new(std::size_t n) {
   ++g_allocs;
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
 using namespace si::spice;
 using namespace si::cells::netlists;
 
-/// Delay-line fixture shared by both tests.
+/// Delay-line fixture shared by the engine tests.
 DelayLineChainHandles build_fixture(Circuit& c) {
   c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
   DelayStageOptions opt;
@@ -58,7 +68,7 @@ TEST(TransientAlloc, SparseNewtonLoopIsAllocationFreeAfterWarmup) {
   build_fixture(c);
   c.finalize();
 
-  MnaEngine engine(c, SolverKind::kSparse);
+  MnaEngine engine(c);
   NewtonOptions nopt;
   StampContext ctx;
   ctx.mode = AnalysisMode::kDcOperatingPoint;
@@ -90,30 +100,6 @@ TEST(TransientAlloc, SparseNewtonLoopIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(after - before, 0u)
       << "heap allocations leaked into the warm Newton/transient loop";
   EXPECT_EQ(engine.stats().workspace_allocs, ws_before);
-}
-
-TEST(TransientAlloc, DenseNewtonLoopIsAllocationFreeAfterWarmup) {
-  si::obs::set_enabled(true);
-  Circuit c;
-  build_fixture(c);
-  c.finalize();
-
-  MnaEngine engine(c, SolverKind::kDense);
-  NewtonOptions nopt;
-  StampContext ctx;
-  ctx.mode = AnalysisMode::kTransient;
-  ctx.dt = 200e-9 / 400.0;
-  si::linalg::Vector x(c.system_size(), 0.0);
-  for (int k = 1; k <= 5; ++k) {
-    ctx.time = k * ctx.dt;
-    engine.newton(ctx, x, nopt);
-  }
-  const std::uint64_t before = g_allocs.load();
-  for (int k = 6; k <= 40; ++k) {
-    ctx.time = k * ctx.dt;
-    engine.newton(ctx, x, nopt);
-  }
-  EXPECT_EQ(g_allocs.load() - before, 0u);
 }
 
 TEST(TransientAlloc, TransientRunStepsAllocateOnlyDuringWarmup) {
