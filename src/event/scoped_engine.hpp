@@ -74,9 +74,22 @@ class ScopedMnaEngine {
   /// an element is in scope iff any of its rows is.
   std::vector<std::vector<int>> element_rows_;
 
+  /// Orders active-block masks (all of one size) element by element.
+  /// vector's own operator< goes through a memcmp that GCC 12 misreads
+  /// at -O3 (-Wstringop-overread).
+  struct MaskLess {
+    bool operator()(const std::vector<unsigned char>& a,
+                    const std::vector<unsigned char>& b) const {
+      if (a.size() != b.size()) return a.size() < b.size();
+      for (std::size_t i = 0; i < a.size(); ++i)
+        if (a[i] != b[i]) return a[i] < b[i];
+      return false;
+    }
+  };
+
   /// Per-active-mask solver state: the restricted system's pattern,
   /// matrices, memos and factorization, plus the in-scope element lists.
-  std::map<std::vector<unsigned char>, spice::NewtonCore> states_;
+  std::map<std::vector<unsigned char>, spice::NewtonCore, MaskLess> states_;
 };
 
 }  // namespace si::event

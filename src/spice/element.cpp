@@ -12,11 +12,6 @@ SolutionView::SolutionView(const Circuit& c, const linalg::Vector& x)
     throw std::invalid_argument("SolutionView: vector size mismatch");
 }
 
-double SolutionView::voltage(NodeId n) const {
-  if (n == kGroundNode) return 0.0;
-  return (*x_)[static_cast<std::size_t>(n - 1)];
-}
-
 double SolutionView::branch_current(int branch) const {
   return (*x_)[circuit_->node_count() - 1 + static_cast<std::size_t>(branch)];
 }
@@ -30,64 +25,12 @@ RealStamper::RealStamper(const Circuit& c, linalg::PatternBuilder& rec,
                          linalg::Vector& b, const linalg::Vector& x)
     : circuit_(&c), record_(&rec), b_(&b), x_(&x) {}
 
-void RealStamper::add(int r, int c, double v) {
-  if (scope_) {
-    if (!(*scope_)[static_cast<std::size_t>(r)]) return;  // frozen equation
-    if (!(*scope_)[static_cast<std::size_t>(c)]) {
-      // Out-of-scope column: the unknown is held at its last solved
-      // value, so its contribution is a known current — condense it.
-      (*b_)[static_cast<std::size_t>(r)] -=
-          v * (*x_)[static_cast<std::size_t>(c)];
-      return;
-    }
-  }
-  if (sparse_)
-    sparse_->add(r, c, v, memo_);
-  else
-    record_->add(r, c);
-}
-
 int RealStamper::branch_index(int branch) const {
   return static_cast<int>(circuit_->node_count()) - 1 + branch;
 }
 
-double RealStamper::voltage(NodeId n) const {
-  if (n == kGroundNode) return 0.0;
-  return (*x_)[static_cast<std::size_t>(n - 1)];
-}
-
 double RealStamper::branch_current(int branch) const {
   return (*x_)[static_cast<std::size_t>(branch_index(branch))];
-}
-
-void RealStamper::conductance(NodeId a, NodeId b, double g) {
-  const int ia = node_index(a);
-  const int ib = node_index(b);
-  if (ia >= 0) add(ia, ia, g);
-  if (ib >= 0) add(ib, ib, g);
-  if (ia >= 0 && ib >= 0) {
-    add(ia, ib, -g);
-    add(ib, ia, -g);
-  }
-}
-
-void RealStamper::transconductance(NodeId out_p, NodeId out_m, NodeId cp,
-                                   NodeId cm, double g) {
-  const int ip = node_index(out_p);
-  const int im = node_index(out_m);
-  const int icp = node_index(cp);
-  const int icm = node_index(cm);
-  if (ip >= 0 && icp >= 0) add(ip, icp, g);
-  if (ip >= 0 && icm >= 0) add(ip, icm, -g);
-  if (im >= 0 && icp >= 0) add(im, icp, -g);
-  if (im >= 0 && icm >= 0) add(im, icm, g);
-}
-
-void RealStamper::current(NodeId p, NodeId m, double i) {
-  const int ip = node_index(p);
-  const int im = node_index(m);
-  if (ip >= 0 && row_in_scope(ip)) (*b_)[static_cast<std::size_t>(ip)] -= i;
-  if (im >= 0 && row_in_scope(im)) (*b_)[static_cast<std::size_t>(im)] += i;
 }
 
 void RealStamper::branch_voltage_row(int branch, NodeId p, NodeId m) {

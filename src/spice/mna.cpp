@@ -1,6 +1,7 @@
 #include "spice/mna.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -23,6 +24,7 @@ struct MnaTelemetry {
   obs::Counter& pattern_misses = obs::counter("mna.pattern_misses");
   obs::Counter& singular_retries = obs::counter("mna.singular_matrix");
   obs::Timer& newton_time = obs::timer("mna.newton");
+  obs::Timer& assemble_time = obs::timer("mna.assemble");
 
   static MnaTelemetry& get() {
     static MnaTelemetry t;
@@ -52,11 +54,37 @@ class PublishStats {
             at_entry_.numeric_refactors);
     publish(tm.pivot_repivots, s_.pivot_repivots, at_entry_.pivot_repivots);
     publish(tm.pattern_misses, s_.pattern_misses, at_entry_.pattern_misses);
+    if (s_.assemble_ns != at_entry_.assemble_ns)
+      tm.assemble_time.record_ns(s_.assemble_ns - at_entry_.assemble_ns);
   }
 
  private:
   const MnaStats& s_;
   const MnaStats at_entry_;
+};
+
+/// Adds the time its scope takes to `ns` while telemetry is enabled
+/// (the clock is not read otherwise).
+class StampClock {
+ public:
+  explicit StampClock(std::uint64_t& ns) noexcept
+      : ns_(ns), armed_(obs::enabled()) {
+    if (armed_) start_ = std::chrono::steady_clock::now();
+  }
+  ~StampClock() {
+    if (armed_)
+      ns_ += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start_)
+              .count());
+  }
+  StampClock(const StampClock&) = delete;
+  StampClock& operator=(const StampClock&) = delete;
+
+ private:
+  std::uint64_t& ns_;
+  bool armed_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 /// Adds a missed coordinate to `grown`; the first miss of a topology is
@@ -166,6 +194,7 @@ void NewtonCore::discover(const StampContext& ctx) {
 
 void NewtonCore::stamp_baseline(const StampContext& ctx,
                                 const linalg::Vector& x, double gdiag) {
+  StampClock clock(stats_->assemble_ns);
   const std::size_t n_nodes = circuit_->node_count() - 1;
   b0_.assign(b0_.size(), 0.0);
   ++stats_->base_stamps;
@@ -195,6 +224,7 @@ void NewtonCore::stamp_baseline(const StampContext& ctx,
 }
 
 void NewtonCore::assemble(const StampContext& ctx, const linalg::Vector& x) {
+  StampClock clock(stats_->assemble_ns);
   b_ = b0_;
   ++stats_->nonlinear_stamps;
   a_.copy_values_from(a0_);

@@ -47,6 +47,9 @@ struct MnaStats {
   std::uint64_t workspace_allocs = 0;   ///< workspace (re)allocations
   std::uint64_t pivot_repivots = 0;     ///< refactors rescued by re-pivoting
   std::uint64_t pattern_misses = 0;     ///< topologies whose pattern grew
+  /// Device stamping: time in stamp_baseline() + assemble() [ns],
+  /// clocked only while telemetry is enabled.
+  std::uint64_t assemble_ns = 0;
 };
 
 /// One sparse MNA system and the damped Newton loop over it.

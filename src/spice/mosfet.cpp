@@ -13,10 +13,9 @@ Mosfet::Mosfet(std::string name, MosType type, NodeId drain, NodeId gate,
       g_(gate),
       s_(source),
       params_(params),
+      beta_(params.beta()),
       cgs_cap_(params.cgs),
-      cgd_cap_(params.cgd),
-      op_d_eff_(drain),
-      op_s_eff_(source) {
+      cgd_cap_(params.cgd) {
   if (params.w <= 0 || params.l <= 0 || params.kp <= 0)
     throw std::invalid_argument("Mosfet: w, l, kp must be > 0");
 }
@@ -32,6 +31,7 @@ void Mosfet::set_params(const MosfetParams& params) {
   if (params.w <= 0 || params.l <= 0 || params.kp <= 0)
     throw std::invalid_argument("Mosfet: w, l, kp must be > 0");
   params_ = params;
+  beta_ = params.beta();
   cgs_cap_.set_capacitance(params.cgs);
   cgd_cap_.set_capacitance(params.cgd);
 }
@@ -69,7 +69,6 @@ Mosfet::Eval Mosfet::evaluate(double vd, double vg, double vs,
   const double vt = threshold(vsp - vbp);
   const double vov = vgsp - vt;
   e.vov = vov;
-  const double beta = params_.beta();
 
   if (vov <= 0.0) {
     e.region = MosRegion::kCutoff;
@@ -81,15 +80,15 @@ Mosfet::Eval Mosfet::evaluate(double vd, double vg, double vs,
     const double clm = 1.0 + params_.lambda * vdsp;
     const double core = vov * vdsp - 0.5 * vdsp * vdsp;
     e.region = MosRegion::kTriode;
-    e.id = beta * core * clm;
-    e.gm = beta * vdsp * clm;
-    e.gds = beta * ((vov - vdsp) * clm + core * params_.lambda);
+    e.id = beta_ * core * clm;
+    e.gm = beta_ * vdsp * clm;
+    e.gds = beta_ * ((vov - vdsp) * clm + core * params_.lambda);
   } else {
     const double clm = 1.0 + params_.lambda * vdsp;
     e.region = MosRegion::kSaturation;
-    e.id = 0.5 * beta * vov * vov * clm;
-    e.gm = beta * vov * clm;
-    e.gds = 0.5 * beta * vov * vov * params_.lambda;
+    e.id = 0.5 * beta_ * vov * vov * clm;
+    e.gm = beta_ * vov * clm;
+    e.gds = 0.5 * beta_ * vov * vov * params_.lambda;
   }
   return e;
 }
@@ -119,36 +118,38 @@ void Mosfet::stamp(RealStamper& s, const StampContext& ctx) {
 }
 
 void Mosfet::accept(const SolutionView& sol, const StampContext& ctx) {
-  const Eval e =
-      evaluate(sol.voltage(d_), sol.voltage(g_), sol.voltage(s_),
-               has_bulk_ ? sol.voltage(b_) : sol.voltage(s_));
-  op_id_ = e.sign * e.id *
-           ((e.d_eff == d_) ? 1.0 : -1.0);  // report as drain->source
-  op_gm_ = e.gm;
-  op_gds_ = e.gds;
-  op_region_ = e.region;
-  op_vov_ = std::max(e.vov, 0.0);
-  op_vgs_ = sol.voltage(g_) - sol.voltage(s_);
-  op_vds_ = sol.voltage(d_) - sol.voltage(s_);
-  op_d_eff_ = e.d_eff;
-  op_s_eff_ = e.s_eff;
+  accepted_ = true;
+  op_vd_ = sol.voltage(d_);
+  op_vg_ = sol.voltage(g_);
+  op_vs_ = sol.voltage(s_);
+  op_vb_ = has_bulk_ ? sol.voltage(b_) : op_vs_;
   cgs_cap_.accept(sol, ctx, g_, s_);
   cgd_cap_.accept(sol, ctx, g_, d_);
 }
 
+Mosfet::Eval Mosfet::op() const {
+  if (accepted_) return evaluate(op_vd_, op_vg_, op_vs_, op_vb_);
+  Eval e;
+  e.d_eff = d_;
+  e.s_eff = s_;
+  return e;
+}
+
 void Mosfet::stamp_ac(ComplexStamper& s, double omega) const {
-  s.admittance(op_d_eff_, op_s_eff_, op_gds_);
-  s.transadmittance(op_d_eff_, op_s_eff_, g_, op_s_eff_, op_gm_);
+  const Eval e = op();
+  s.admittance(e.d_eff, e.s_eff, e.gds);
+  s.transadmittance(e.d_eff, e.s_eff, g_, e.s_eff, e.gm);
   cgs_cap_.stamp_ac(s, omega, g_, s_);
   cgd_cap_.stamp_ac(s, omega, g_, d_);
 }
 
 void Mosfet::append_noise(std::vector<NoiseSource>& out) const {
+  const Eval e = op();
   const double thermal =
-      4.0 * kBoltzmann * params_.temperature * params_.noise_gamma * op_gm_;
-  const double kf_id = params_.kf * std::abs(op_id_);
+      4.0 * kBoltzmann * params_.temperature * params_.noise_gamma * e.gm;
+  const double kf_id = params_.kf * std::abs(drain_current(e));
   out.push_back(NoiseSource{
-      op_d_eff_, op_s_eff_,
+      e.d_eff, e.s_eff,
       [thermal, kf_id](double f) {
         return thermal + (f > 0.0 ? kf_id / f : 0.0);
       },
@@ -157,7 +158,7 @@ void Mosfet::append_noise(std::vector<NoiseSource>& out) const {
 
 double Mosfet::dissipated_power(const SolutionView& sol) const {
   const double vds = sol.voltage(d_) - sol.voltage(s_);
-  return std::abs(op_id_ * vds);
+  return std::abs(id() * vds);
 }
 
 }  // namespace si::spice

@@ -5,6 +5,7 @@
 // Eqs. (1)-(2).
 #pragma once
 
+#include <algorithm>
 #include <string>
 
 #include "spice/element.hpp"
@@ -74,15 +75,17 @@ class Mosfet final : public Element {
   bool has_bulk() const { return has_bulk_; }
   NodeId bulk() const { return b_; }
 
-  // Operating-point values captured by the last accept().
-  double id() const { return op_id_; }    ///< drain current, drain->source
-  double gm() const { return op_gm_; }
-  double gds() const { return op_gds_; }
-  MosRegion region() const { return op_region_; }
-  double vgs() const { return op_vgs_; }
-  double vds() const { return op_vds_; }
+  // Operating point at the terminal voltages of the last accept(),
+  // evaluated on demand with the current parameters; before the first
+  // accept() every value reads zero (cutoff).
+  double id() const { return drain_current(op()); }  ///< drain->source
+  double gm() const { return op().gm; }
+  double gds() const { return op().gds; }
+  MosRegion region() const { return op().region; }
+  double vgs() const { return op_vg_ - op_vs_; }
+  double vds() const { return op_vd_ - op_vs_; }
   /// Saturation voltage |Vgs - Vt| at the operating point.
-  double vdsat() const { return op_vov_; }
+  double vdsat() const { return std::max(op().vov, 0.0); }
 
  private:
   struct Eval {
@@ -98,6 +101,13 @@ class Mosfet final : public Element {
 
   /// Evaluates the square-law equations at the given node voltages.
   Eval evaluate(double vd, double vg, double vs, double vb) const;
+  /// evaluate() at the voltages of the last accept() (a zero Eval with
+  /// the nominal orientation before the first one).
+  Eval op() const;
+  /// Current from the drain terminal to the source terminal.
+  double drain_current(const Eval& e) const {
+    return e.sign * e.id * ((e.d_eff == d_) ? 1.0 : -1.0);
+  }
 
   /// Effective threshold in the primed frame for source-bulk voltage.
   double threshold(double vsb_primed) const;
@@ -107,18 +117,14 @@ class Mosfet final : public Element {
   NodeId b_ = kGroundNode;
   bool has_bulk_ = false;
   MosfetParams params_;
+  double beta_;  ///< params_.beta(), kept in step by set_params()
   CompanionCap cgs_cap_;
   CompanionCap cgd_cap_;
 
-  // Captured operating point.
-  double op_id_ = 0.0;
-  double op_gm_ = 0.0;
-  double op_gds_ = 0.0;
-  double op_vgs_ = 0.0;
-  double op_vds_ = 0.0;
-  double op_vov_ = 0.0;
-  MosRegion op_region_ = MosRegion::kCutoff;
-  NodeId op_d_eff_, op_s_eff_;
+  // Terminal voltages of the last accept() (bulk: the source voltage
+  // when there is no bulk terminal).
+  bool accepted_ = false;
+  double op_vd_ = 0.0, op_vg_ = 0.0, op_vs_ = 0.0, op_vb_ = 0.0;
 };
 
 }  // namespace si::spice

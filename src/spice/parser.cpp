@@ -225,7 +225,9 @@ Circuit parse_netlist(const std::string& deck, ParseIndex* index) {
       if (s[0] == '+') {
         if (lines.empty())
           throw ParseError(lineno, "continuation with no previous card");
-        lines.back().second += " " + s.substr(1);
+        std::string& card = lines.back().second;
+        card += ' ';
+        card.append(s, 1);
       } else {
         lines.emplace_back(lineno, std::move(s));
       }

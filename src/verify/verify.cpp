@@ -140,7 +140,9 @@ std::string witness_text(const std::vector<WitnessVar>& w) {
 std::string to_string(const Interval& v) {
   if (v.is_empty()) return "empty";
   if (v.is_top()) return "top";
-  return "[" + fmt(v.lo) + ", " + fmt(v.hi) + "]";
+  std::string s = "[";
+  s.append(fmt(v.lo)).append(", ").append(fmt(v.hi)).append("]");
+  return s;
 }
 
 VerifyResult analyze(const spice::Circuit& c, const VerifyOptions& opt) {

@@ -112,6 +112,38 @@ TEST(MnaEngine, SymbolicFactorizationReusedAcrossTransientSteps) {
   EXPECT_EQ(st.workspace_allocs, 1u);
 }
 
+// The device-stamping layer: stamp_baseline() + assemble() time lands
+// in MnaStats::assemble_ns while telemetry is on, and reaches the
+// mna.assemble timer once per engine call; off, the clock is not read.
+TEST(MnaEngine, AssembleTimerRecordsDeviceStampingOncePerCall) {
+  Circuit c;
+  c.add<VoltageSource>("Vdd", c.node("vdd"), c.ground(), 3.3);
+  DelayStageOptions opt;
+  const auto h = build_delay_stage(c, opt, "s_");
+  c.add<CurrentSource>("Iin", c.ground(), h.in, 5e-6);
+  c.finalize();
+
+  MnaEngine engine(c);
+  NewtonOptions nopt;
+  StampContext ctx;
+  si::linalg::Vector x;
+  si::obs::set_enabled(false);
+  engine.newton(ctx, x, nopt);
+  EXPECT_EQ(engine.stats().assemble_ns, 0u);
+#if SI_OBS_ENABLED
+  si::obs::set_enabled(true);
+  si::obs::Timer& timer = si::obs::timer("mna.assemble");
+  const std::uint64_t calls_before = timer.count();
+  const std::uint64_t ns_before = timer.total_ns();
+  engine.newton(ctx, x, nopt);
+  engine.newton(ctx, x, nopt);
+  si::obs::set_enabled(false);
+  EXPECT_GT(engine.stats().assemble_ns, 0u);
+  EXPECT_EQ(timer.count() - calls_before, 2u);
+  EXPECT_EQ(timer.total_ns() - ns_before, engine.stats().assemble_ns);
+#endif
+}
+
 TEST(MnaEngine, PatternCacheInvalidatedOnCircuitEdit) {
   Circuit c;
   const NodeId a = c.node("a");

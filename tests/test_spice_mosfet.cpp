@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "linalg/sparse.hpp"
 #include "spice/circuit.hpp"
 #include "spice/dc.hpp"
 #include "spice/elements.hpp"
@@ -184,6 +185,91 @@ TEST(Mosfet, OpReportCollectsDevices) {
   EXPECT_GT(report.supply_power, 0.0);
   EXPECT_THROW(report.device("nope"), std::out_of_range);
   EXPECT_EQ(si::spice::region_name(MosRegion::kTriode), "triode");
+}
+
+// The matrix values and RHS that `m` alone stamps at the iterate
+// (vd, vg, vs) under `ctx`, over the pattern it records itself.
+struct LoneStamp {
+  std::vector<double> a;
+  si::linalg::Vector b;
+};
+
+LoneStamp stamp_alone(Circuit& c, Mosfet& m, const StampContext& ctx,
+                      double vd, double vg, double vs) {
+  c.finalize();
+  const std::size_t n = c.system_size();
+  si::linalg::Vector x(n, 0.0);
+  x[static_cast<std::size_t>(m.drain() - 1)] = vd;
+  x[static_cast<std::size_t>(m.gate() - 1)] = vg;
+  x[static_cast<std::size_t>(m.source() - 1)] = vs;
+  si::linalg::PatternBuilder rec(static_cast<int>(n));
+  si::linalg::Vector scratch(n, 0.0);
+  RealStamper record(c, rec, scratch, x);
+  m.stamp(record, ctx);
+  si::linalg::SparseMatrixD a(rec.build());
+  LoneStamp out{{}, si::linalg::Vector(n, 0.0)};
+  RealStamper s(c, a, out.b, x);
+  m.stamp(s, ctx);
+  out.a = a.values();
+  return out;
+}
+
+// A device on nodes d, g, s of its own circuit.
+Mosfet& lone_device(Circuit& c, MosType type, const MosfetParams& p) {
+  return c.add<Mosfet>("M1", type, c.node("d"), c.node("g"), c.node("s"), p);
+}
+
+TEST(Mosfet, SetParamsStampsLikeAFreshDevice) {
+  MosfetParams p1;
+  p1.cgs = 0.1e-12;
+  p1.cgd = 0.02e-12;
+  MosfetParams p2 = p1;
+  p2.w = 7e-6;
+  p2.l = 1.3e-6;
+  p2.kp = 83e-6;
+  p2.vt0 = 0.71;
+  p2.lambda = 0.07;
+  p2.cgs = 0.13e-12;
+  p2.cgd = 0.03e-12;
+  StampContext ctx;
+  ctx.mode = AnalysisMode::kTransient;
+  ctx.dt = 1e-9;
+  for (const MosType type : {MosType::kNmos, MosType::kPmos}) {
+    const double sgn = type == MosType::kNmos ? 1.0 : -1.0;
+    Circuit ca, cb, cc;
+    Mosfet& redrawn = lone_device(ca, type, p1);
+    redrawn.set_params(p2);
+    Mosfet& fresh = lone_device(cb, type, p2);
+    Mosfet& old = lone_device(cc, type, p1);
+    const LoneStamp got =
+        stamp_alone(ca, redrawn, ctx, sgn * 1.5, sgn * 1.2, sgn * 0.1);
+    const LoneStamp want =
+        stamp_alone(cb, fresh, ctx, sgn * 1.5, sgn * 1.2, sgn * 0.1);
+    const LoneStamp before =
+        stamp_alone(cc, old, ctx, sgn * 1.5, sgn * 1.2, sgn * 0.1);
+    EXPECT_EQ(got.a, want.a);
+    EXPECT_EQ(got.b, want.b);
+    EXPECT_NE(got.a, before.a);  // the draw did change the stamp
+  }
+}
+
+TEST(Mosfet, GettersBeforeAcceptReadConstructorState) {
+  MosfetParams depletion;
+  depletion.vt0 = -0.5;  // conducts at zero volts: must not be evaluated
+  for (const MosType type : {MosType::kNmos, MosType::kPmos}) {
+    for (const MosfetParams& p : {MosfetParams{}, depletion}) {
+      Circuit c;
+      const Mosfet& m = lone_device(c, type, p);
+      EXPECT_EQ(m.id(), 0.0);
+      EXPECT_FALSE(std::signbit(m.id()));  // +0.0, also for a PMOS
+      EXPECT_EQ(m.gm(), 0.0);
+      EXPECT_EQ(m.gds(), 0.0);
+      EXPECT_EQ(m.vgs(), 0.0);
+      EXPECT_EQ(m.vds(), 0.0);
+      EXPECT_EQ(m.vdsat(), 0.0);
+      EXPECT_EQ(m.region(), MosRegion::kCutoff);
+    }
+  }
 }
 
 }  // namespace

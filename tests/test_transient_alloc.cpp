@@ -100,6 +100,10 @@ TEST(TransientAlloc, SparseNewtonLoopIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(after - before, 0u)
       << "heap allocations leaked into the warm Newton/transient loop";
   EXPECT_EQ(engine.stats().workspace_allocs, ws_before);
+  // The device-stamping clock ran inside the measured loop.
+  if (si::obs::enabled()) {
+    EXPECT_GT(engine.stats().assemble_ns, 0u);
+  }
 }
 
 TEST(TransientAlloc, TransientRunStepsAllocateOnlyDuringWarmup) {
