@@ -12,10 +12,12 @@
 #include <iterator>
 #include <memory>
 #include <sstream>
+#include <utility>
 #include <string>
 #include <vector>
 
 #include "analysis/mc_batch.hpp"
+#include "erc/check.hpp"
 #include "si/netlists.hpp"
 #include "spice/deck.hpp"
 #include "spice/elements.hpp"
@@ -169,6 +171,230 @@ TEST(PinnedOutputs, Table1DelayLineOpReport) {
     EXPECT_EQ(d.gds, w.gds) << w.name;
   }
   EXPECT_EQ(rep.supply_power, 0.00021136383598212578);
+}
+
+// ---------------------------------------------------------------------
+// ERC output pins: the exact text and JSON of the checker on the
+// example decks and on built circuits whose diagnostics depend on the
+// order rules visit devices, switches and sources.  Every built
+// circuit has no deck lines, so the stable line sort keeps emission
+// order and any reordering shows here.
+// ---------------------------------------------------------------------
+
+struct ErcPin {
+  std::string text, json;
+};
+
+ErcPin erc_of(const Circuit& c) {
+  erc::DiagnosticSink sink;
+  erc::check(c, sink);
+  return {sink.text(), sink.json()};
+}
+
+void expect_pin(const ErcPin& got, const ErcPin& want) {
+  EXPECT_EQ(got.text, want.text);
+  EXPECT_EQ(got.json, want.json);
+}
+
+MosfetParams nmos_params(double w) {
+  MosfetParams p;
+  p.w = w;
+  p.l = 2e-6;
+  p.kp = 100e-6;
+  p.vt0 = 0.8;
+  return p;
+}
+
+MosfetParams pmos_params(double w) {
+  MosfetParams p = nmos_params(w);
+  p.kp = 40e-6;
+  return p;
+}
+
+const TwoPhaseClock kClock{1e-6, 3.3, 0.0, 10e-9, 40e-9};
+
+/// A class-AB memory cell whose gates are sampled through switches on
+/// `phase` (gate switches listed drain-first when `reversed`); returns
+/// the drain node.
+NodeId switched_cell(Circuit& c, const std::string& k, NodeId vdd,
+                     std::unique_ptr<Waveform> (TwoPhaseClock::*phase)()
+                         const,
+                     bool reversed = false) {
+  const NodeId d = c.node("d" + k), gn = c.node("gn" + k),
+               gp = c.node("gp" + k);
+  c.add<Mosfet>("mn" + k, MosType::kNmos, d, gn, c.ground(),
+                nmos_params(4e-6));
+  c.add<Mosfet>("mp" + k, MosType::kPmos, d, gp, vdd, pmos_params(10e-6));
+  for (const auto& [name, g] : {std::pair{"sn", gn}, std::pair{"sp", gp}}) {
+    if (reversed)
+      c.add<Switch>(name + k, d, g, (kClock.*phase)(), 1e3, 1e12);
+    else
+      c.add<Switch>(name + k, g, d, (kClock.*phase)(), 1e3, 1e12);
+  }
+  c.add<CurrentSource>("ib" + k, c.ground(), d, 8e-6);
+  return d;
+}
+
+TEST(PinnedOutputs, ErcExampleDecks) {
+  const std::pair<const char*, ErcPin> decks[] = {
+    {"broken_memory_cell.sp",
+     {R"pin(deck:12: error: [si.supply-min] supply 1.2 V is below the class-AB pair minimum 1.7 V for 'mn'/'mp' (Vt_n + Vt_p + Vov = 0.8 + 0.8 + 0.1, paper Eqs. (1)-(2)) (fix: raise the supply above 1.7 V or use lower-Vt devices)
+deck:19: error: [spice.floating-gate] MOSFET 'mfloat' gate node 'nowhere' has no DC drive (only gate/capacitor terminals attach) (fix: drive the gate from a source, switch, or diode connection)
+deck:23: error: [spice.node-island] nodes 'isla', 'islb' form a subcircuit with no path to ground (fix: connect the subcircuit to the rest of the circuit or remove it)
+)pin",
+      R"pin({"diagnostics":[{"severity":"error","rule":"si.supply-min","message":"supply 1.2 V is below the class-AB pair minimum 1.7 V for 'mn'/'mp' (Vt_n + Vt_p + Vov = 0.8 + 0.8 + 0.1, paper Eqs. (1)-(2))","line":12,"element":"mp","fix":"raise the supply above 1.7 V or use lower-Vt devices"},{"severity":"error","rule":"spice.floating-gate","message":"MOSFET 'mfloat' gate node 'nowhere' has no DC drive (only gate/capacitor terminals attach)","line":19,"element":"mfloat","fix":"drive the gate from a source, switch, or diode connection"},{"severity":"error","rule":"spice.node-island","message":"nodes 'isla', 'islb' form a subcircuit with no path to ground","line":23,"element":"","fix":"connect the subcircuit to the rest of the circuit or remove it"}],"notes":0,"warnings":0,"errors":3})pin"}},
+    {"memory_cell_ok.sp",
+     {R"pin()pin",
+      R"pin({"diagnostics":[],"notes":0,"warnings":0,"errors":0})pin"}},
+    {"table1_delay_line.sp",
+     {R"pin()pin",
+      R"pin({"diagnostics":[],"notes":0,"warnings":0,"errors":0})pin"}},
+    {"table2_modulator.sp",
+     {R"pin()pin",
+      R"pin({"diagnostics":[],"notes":0,"warnings":0,"errors":0})pin"}},
+    {"table2_modulator_lowvdd.sp",
+     {R"pin()pin",
+      R"pin({"diagnostics":[],"notes":0,"warnings":0,"errors":0})pin"}},
+  };
+  for (const auto& [name, want] : decks) {
+    std::ifstream f(std::string(SI_DECKS_DIR "/") + name);
+    ASSERT_TRUE(f) << name;
+    std::stringstream deck;
+    deck << f.rdbuf();
+    const erc::DeckReport rep = erc::check_deck(deck.str());
+    SCOPED_TRACE(name);
+    expect_pin({rep.sink.text(), rep.sink.json()}, want);
+  }
+}
+
+// Two NMOS and two PMOS diodes on one drain: four pairs, visited NMOS
+// first in element order, then PMOS in element order.
+TEST(PinnedOutputs, ErcTwoPmosOnOneDrain) {
+  Circuit c;
+  const NodeId vdd = c.node("vdd"), d = c.node("d");
+  c.add<VoltageSource>("vdd_src", vdd, c.ground(), 1.2);
+  c.add<Mosfet>("mp_a", MosType::kPmos, d, d, vdd, pmos_params(10e-6));
+  c.add<Mosfet>("mn_a", MosType::kNmos, d, d, c.ground(), nmos_params(4e-6));
+  c.add<Mosfet>("mp_b", MosType::kPmos, d, d, vdd, pmos_params(12e-6));
+  c.add<Mosfet>("mn_b", MosType::kNmos, d, d, c.ground(), nmos_params(4e-6));
+  c.add<CurrentSource>("iin", c.ground(), d, 8e-6);
+  expect_pin(erc_of(c), {R"pin(error: [si.supply-min] supply 1.2 V is below the class-AB pair minimum 1.7 V for 'mn_a'/'mp_a' (Vt_n + Vt_p + Vov = 0.8 + 0.8 + 0.1, paper Eqs. (1)-(2)) (fix: raise the supply above 1.7 V or use lower-Vt devices)
+error: [si.supply-min] supply 1.2 V is below the class-AB pair minimum 1.7 V for 'mn_a'/'mp_b' (Vt_n + Vt_p + Vov = 0.8 + 0.8 + 0.1, paper Eqs. (1)-(2)) (fix: raise the supply above 1.7 V or use lower-Vt devices)
+error: [si.supply-min] supply 1.2 V is below the class-AB pair minimum 1.7 V for 'mn_b'/'mp_a' (Vt_n + Vt_p + Vov = 0.8 + 0.8 + 0.1, paper Eqs. (1)-(2)) (fix: raise the supply above 1.7 V or use lower-Vt devices)
+error: [si.supply-min] supply 1.2 V is below the class-AB pair minimum 1.7 V for 'mn_b'/'mp_b' (Vt_n + Vt_p + Vov = 0.8 + 0.8 + 0.1, paper Eqs. (1)-(2)) (fix: raise the supply above 1.7 V or use lower-Vt devices)
+warning: [si.classab-asymmetry] class-AB pair 'mn_a'/'mp_b' has unbalanced beta (200 vs 240 uA/V^2, 16.67% apart): the quiescent point shifts off mid-rail (fix: size W_p/W_n to compensate the KP_n/KP_p ratio)
+warning: [si.classab-asymmetry] class-AB pair 'mn_b'/'mp_b' has unbalanced beta (200 vs 240 uA/V^2, 16.67% apart): the quiescent point shifts off mid-rail (fix: size W_p/W_n to compensate the KP_n/KP_p ratio)
+)pin",
+ R"pin({"diagnostics":[{"severity":"error","rule":"si.supply-min","message":"supply 1.2 V is below the class-AB pair minimum 1.7 V for 'mn_a'/'mp_a' (Vt_n + Vt_p + Vov = 0.8 + 0.8 + 0.1, paper Eqs. (1)-(2))","line":0,"element":"mp_a","fix":"raise the supply above 1.7 V or use lower-Vt devices"},{"severity":"error","rule":"si.supply-min","message":"supply 1.2 V is below the class-AB pair minimum 1.7 V for 'mn_a'/'mp_b' (Vt_n + Vt_p + Vov = 0.8 + 0.8 + 0.1, paper Eqs. (1)-(2))","line":0,"element":"mp_b","fix":"raise the supply above 1.7 V or use lower-Vt devices"},{"severity":"error","rule":"si.supply-min","message":"supply 1.2 V is below the class-AB pair minimum 1.7 V for 'mn_b'/'mp_a' (Vt_n + Vt_p + Vov = 0.8 + 0.8 + 0.1, paper Eqs. (1)-(2))","line":0,"element":"mp_a","fix":"raise the supply above 1.7 V or use lower-Vt devices"},{"severity":"error","rule":"si.supply-min","message":"supply 1.2 V is below the class-AB pair minimum 1.7 V for 'mn_b'/'mp_b' (Vt_n + Vt_p + Vov = 0.8 + 0.8 + 0.1, paper Eqs. (1)-(2))","line":0,"element":"mp_b","fix":"raise the supply above 1.7 V or use lower-Vt devices"},{"severity":"warning","rule":"si.classab-asymmetry","message":"class-AB pair 'mn_a'/'mp_b' has unbalanced beta (200 vs 240 uA/V^2, 16.67% apart): the quiescent point shifts off mid-rail","line":0,"element":"mn_a","fix":"size W_p/W_n to compensate the KP_n/KP_p ratio"},{"severity":"warning","rule":"si.classab-asymmetry","message":"class-AB pair 'mn_b'/'mp_b' has unbalanced beta (200 vs 240 uA/V^2, 16.67% apart): the quiescent point shifts off mid-rail","line":0,"element":"mn_b","fix":"size W_p/W_n to compensate the KP_n/KP_p ratio"}],"notes":0,"warnings":2,"errors":4})pin"});
+}
+
+// Two switches join each gate to its drain and two join the cascaded
+// drains: the first switch in element order is the sampling switch
+// (phase 1 in both cells, so they overlap; the second gate switch of
+// cell 2 is on phase 2), and the cascade is reported once.
+TEST(PinnedOutputs, ErcTwoSwitchesOnOneNodePair) {
+  Circuit c;
+  const NodeId vdd = c.node("vdd");
+  c.add<VoltageSource>("vdd_src", vdd, c.ground(), 3.3);
+  const NodeId d1 = switched_cell(c, "1", vdd, &TwoPhaseClock::phase1);
+  const NodeId d2 =
+      switched_cell(c, "2", vdd, &TwoPhaseClock::phase1, /*reversed=*/true);
+  c.add<Switch>("sn2_late", c.node("gn2"), d2, kClock.phase2(), 1e3, 1e12);
+  c.add<Switch>("sp2_late", d2, c.node("gp2"), kClock.phase2(), 1e3, 1e12);
+  c.add<Switch>("sx_a", d2, d1, kClock.phase2(), 1e3, 1e12);
+  c.add<Switch>("sx_b", d1, d2, kClock.phase1(), 1e3, 1e12);
+  expect_pin(erc_of(c), {R"pin(error: [si.clock-overlap] cascaded memory cells at nodes 'd1' and 'd2' sample on overlapping clock phases (457 ns of double-ON per 1000 ns hyperperiod, non-overlap margin -457 ns): the chain is transparent, not a z^-1 delay (fix: clock the second cell on the opposite phase)
+)pin",
+ R"pin({"diagnostics":[{"severity":"error","rule":"si.clock-overlap","message":"cascaded memory cells at nodes 'd1' and 'd2' sample on overlapping clock phases (457 ns of double-ON per 1000 ns hyperperiod, non-overlap margin -457 ns): the chain is transparent, not a z^-1 delay","line":0,"element":"sn2","fix":"clock the second cell on the opposite phase"}],"notes":0,"warnings":0,"errors":1})pin"});
+}
+
+// The rail 'vdd' is driven first by a ground-first source of -1.2 V
+// (a +1.2 V supply) and then by a 3.3 V source: the first one counts.
+// Rail 'vb' is driven first by a 0 V source, which leaves its pair's
+// supply unidentified although a 1 V source follows.
+TEST(PinnedOutputs, ErcGroundFirstSourceThenSecondSource) {
+  Circuit c;
+  const NodeId vdd = c.node("vdd"), vb = c.node("vb"), d = c.node("d"),
+               e = c.node("e");
+  c.add<VoltageSource>("vfloat", vdd, vb, 1.0);
+  c.add<VoltageSource>("vneg", c.ground(), vdd, -1.2);
+  c.add<VoltageSource>("vpos", vdd, c.ground(), 3.3);
+  c.add<VoltageSource>("vb_zero", vb, c.ground(), 0.0);
+  c.add<VoltageSource>("vb_one", vb, c.ground(), 1.0);
+  c.add<Mosfet>("mn", MosType::kNmos, d, d, c.ground(), nmos_params(4e-6));
+  c.add<Mosfet>("mp", MosType::kPmos, d, d, vdd, pmos_params(10e-6));
+  c.add<Mosfet>("mn_b", MosType::kNmos, e, e, c.ground(), nmos_params(4e-6));
+  c.add<Mosfet>("mp_b", MosType::kPmos, e, e, vb, pmos_params(10e-6));
+  c.add<CurrentSource>("id", c.ground(), d, 8e-6);
+  c.add<CurrentSource>("ie", c.ground(), e, 8e-6);
+  expect_pin(erc_of(c), {R"pin(error: [si.supply-min] supply 1.2 V is below the class-AB pair minimum 1.7 V for 'mn'/'mp' (Vt_n + Vt_p + Vov = 0.8 + 0.8 + 0.1, paper Eqs. (1)-(2)) (fix: raise the supply above 1.7 V or use lower-Vt devices)
+note: [spice.zero-source] voltage source 'vb_zero' is identically 0 V (ammeter idiom?)
+)pin",
+ R"pin({"diagnostics":[{"severity":"error","rule":"si.supply-min","message":"supply 1.2 V is below the class-AB pair minimum 1.7 V for 'mn'/'mp' (Vt_n + Vt_p + Vov = 0.8 + 0.8 + 0.1, paper Eqs. (1)-(2))","line":0,"element":"mp","fix":"raise the supply above 1.7 V or use lower-Vt devices"},{"severity":"note","rule":"spice.zero-source","message":"voltage source 'vb_zero' is identically 0 V (ammeter idiom?)","line":0,"element":"vb_zero","fix":""}],"notes":1,"warnings":0,"errors":1})pin"});
+}
+
+// Three cascaded cells on phases 1, 2, 2 with the transfer switches
+// declared out of cascade order: only cells 2 and 3 overlap.
+TEST(PinnedOutputs, ErcThreeCellCascadeOneOverlap) {
+  Circuit c;
+  const NodeId vdd = c.node("vdd");
+  c.add<VoltageSource>("vdd_src", vdd, c.ground(), 3.3);
+  const NodeId d3 = switched_cell(c, "3", vdd, &TwoPhaseClock::phase2);
+  const NodeId d1 = switched_cell(c, "1", vdd, &TwoPhaseClock::phase1);
+  const NodeId d2 = switched_cell(c, "2", vdd, &TwoPhaseClock::phase2);
+  c.add<Switch>("sx23", d3, d2, kClock.phase1(), 1e3, 1e12);
+  c.add<Switch>("sx12", d1, d2, kClock.phase2(), 1e3, 1e12);
+  c.add<Switch>("sx31", d3, d1, kClock.phase1(), 1e3, 1e12);
+  expect_pin(erc_of(c), {R"pin(error: [si.clock-overlap] cascaded memory cells at nodes 'd3' and 'd2' sample on overlapping clock phases (457 ns of double-ON per 1000 ns hyperperiod, non-overlap margin -457 ns): the chain is transparent, not a z^-1 delay (fix: clock the second cell on the opposite phase)
+)pin",
+ R"pin({"diagnostics":[{"severity":"error","rule":"si.clock-overlap","message":"cascaded memory cells at nodes 'd3' and 'd2' sample on overlapping clock phases (457 ns of double-ON per 1000 ns hyperperiod, non-overlap margin -457 ns): the chain is transparent, not a z^-1 delay","line":0,"element":"sn2","fix":"clock the second cell on the opposite phase"}],"notes":0,"warnings":0,"errors":1})pin"});
+}
+
+// Four cells all on phase 1, declared out of cascade order and joined
+// in a ring: every joined pair overlaps, reported in ascending
+// (first cell, second cell) element order.
+TEST(PinnedOutputs, ErcSamePhaseRingOrder) {
+  Circuit c;
+  const NodeId vdd = c.node("vdd");
+  c.add<VoltageSource>("vdd_src", vdd, c.ground(), 3.3);
+  const NodeId d2 = switched_cell(c, "2", vdd, &TwoPhaseClock::phase1);
+  const NodeId d4 = switched_cell(c, "4", vdd, &TwoPhaseClock::phase1);
+  const NodeId d1 = switched_cell(c, "1", vdd, &TwoPhaseClock::phase1);
+  const NodeId d3 = switched_cell(c, "3", vdd, &TwoPhaseClock::phase1);
+  c.add<Switch>("sx34", d3, d4, kClock.phase2(), 1e3, 1e12);
+  c.add<Switch>("sx41", d4, d1, kClock.phase2(), 1e3, 1e12);
+  c.add<Switch>("sx12", d1, d2, kClock.phase2(), 1e3, 1e12);
+  c.add<Switch>("sx23", d2, d3, kClock.phase2(), 1e3, 1e12);
+  expect_pin(erc_of(c), {R"pin(error: [si.clock-overlap] cascaded memory cells at nodes 'd2' and 'd1' sample on overlapping clock phases (457 ns of double-ON per 1000 ns hyperperiod, non-overlap margin -457 ns): the chain is transparent, not a z^-1 delay (fix: clock the second cell on the opposite phase)
+error: [si.clock-overlap] cascaded memory cells at nodes 'd2' and 'd3' sample on overlapping clock phases (457 ns of double-ON per 1000 ns hyperperiod, non-overlap margin -457 ns): the chain is transparent, not a z^-1 delay (fix: clock the second cell on the opposite phase)
+error: [si.clock-overlap] cascaded memory cells at nodes 'd4' and 'd1' sample on overlapping clock phases (457 ns of double-ON per 1000 ns hyperperiod, non-overlap margin -457 ns): the chain is transparent, not a z^-1 delay (fix: clock the second cell on the opposite phase)
+error: [si.clock-overlap] cascaded memory cells at nodes 'd4' and 'd3' sample on overlapping clock phases (457 ns of double-ON per 1000 ns hyperperiod, non-overlap margin -457 ns): the chain is transparent, not a z^-1 delay (fix: clock the second cell on the opposite phase)
+)pin",
+ R"pin({"diagnostics":[{"severity":"error","rule":"si.clock-overlap","message":"cascaded memory cells at nodes 'd2' and 'd1' sample on overlapping clock phases (457 ns of double-ON per 1000 ns hyperperiod, non-overlap margin -457 ns): the chain is transparent, not a z^-1 delay","line":0,"element":"sn1","fix":"clock the second cell on the opposite phase"},{"severity":"error","rule":"si.clock-overlap","message":"cascaded memory cells at nodes 'd2' and 'd3' sample on overlapping clock phases (457 ns of double-ON per 1000 ns hyperperiod, non-overlap margin -457 ns): the chain is transparent, not a z^-1 delay","line":0,"element":"sn3","fix":"clock the second cell on the opposite phase"},{"severity":"error","rule":"si.clock-overlap","message":"cascaded memory cells at nodes 'd4' and 'd1' sample on overlapping clock phases (457 ns of double-ON per 1000 ns hyperperiod, non-overlap margin -457 ns): the chain is transparent, not a z^-1 delay","line":0,"element":"sn1","fix":"clock the second cell on the opposite phase"},{"severity":"error","rule":"si.clock-overlap","message":"cascaded memory cells at nodes 'd4' and 'd3' sample on overlapping clock phases (457 ns of double-ON per 1000 ns hyperperiod, non-overlap margin -457 ns): the chain is transparent, not a z^-1 delay","line":0,"element":"sn3","fix":"clock the second cell on the opposite phase"}],"notes":0,"warnings":0,"errors":4})pin"});
+}
+
+// A CMFF master with three extraction devices: into a drain carrying a
+// non-diode PMOS listed before a PMOS diode (a CMFF output, off-size:
+// fires), into a half-size one (silent), and into a drain with only a
+// non-diode PMOS (a plain mirror: silent).
+TEST(PinnedOutputs, ErcCmffExtractionDrainWithDiodeAndNonDiodePmos) {
+  Circuit c;
+  const NodeId vdd = c.node("vdd"), m = c.node("m"), x = c.node("x"),
+               y = c.node("y"), z = c.node("z"), bias = c.node("bias");
+  c.add<VoltageSource>("vdd_src", vdd, c.ground(), 3.3);
+  c.add<VoltageSource>("vbias", bias, c.ground(), 2.0);
+  c.add<Mosfet>("me_x", MosType::kNmos, x, m, c.ground(), nmos_params(3e-6));
+  c.add<Mosfet>("mm", MosType::kNmos, m, m, c.ground(), nmos_params(4e-6));
+  c.add<Mosfet>("mq_x", MosType::kPmos, x, bias, vdd, pmos_params(10e-6));
+  c.add<Mosfet>("md_x", MosType::kPmos, x, x, vdd, pmos_params(10e-6));
+  c.add<Mosfet>("me_y", MosType::kNmos, y, m, c.ground(), nmos_params(2e-6));
+  c.add<Mosfet>("md_y", MosType::kPmos, y, y, vdd, pmos_params(10e-6));
+  c.add<Mosfet>("me_z", MosType::kNmos, z, m, c.ground(), nmos_params(1e-6));
+  c.add<Mosfet>("mq_z", MosType::kPmos, z, bias, vdd, pmos_params(10e-6));
+  c.add<CurrentSource>("im", vdd, m, 8e-6);
+  expect_pin(erc_of(c), {R"pin(warning: [si.cmff-half-size] CMFF extraction device 'me_x' is 0.75x the master 'mm' (expected 0.5x): the extracted common mode is off by 50% (fix: size the extraction pair at exactly half the master W/L)
+)pin",
+ R"pin({"diagnostics":[{"severity":"warning","rule":"si.cmff-half-size","message":"CMFF extraction device 'me_x' is 0.75x the master 'mm' (expected 0.5x): the extracted common mode is off by 50%","line":0,"element":"me_x","fix":"size the extraction pair at exactly half the master W/L"}],"notes":0,"warnings":1,"errors":0})pin"});
 }
 
 }  // namespace
