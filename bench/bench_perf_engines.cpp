@@ -7,6 +7,7 @@
 #include "analysis/monte_carlo.hpp"
 #include "dsm/adc.hpp"
 #include "dsm/modulator.hpp"
+#include "erc/check.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/result_cache.hpp"
@@ -497,13 +498,15 @@ FactorRow time_factor_row(int sections) {
   return r;
 }
 
-/// Least-squares slope of log(factor_ms) against log(unknowns).
-double fitted_exponent(const std::vector<FactorRow>& rows) {
+/// Least-squares slope of log(row.*y) against log(row.*x).
+template <class Row, class X, class Y>
+double fitted_exponent(const std::vector<Row>& rows, X Row::*x_of,
+                       Y Row::*y_of) {
   double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
   const double k = static_cast<double>(rows.size());
   for (const auto& r : rows) {
-    const double x = std::log(static_cast<double>(r.unknowns));
-    const double y = std::log(r.factor_ms);
+    const double x = std::log(static_cast<double>(r.*x_of));
+    const double y = std::log(static_cast<double>(r.*y_of));
     sx += x;
     sy += y;
     sxx += x * x;
@@ -512,8 +515,37 @@ double fitted_exponent(const std::vector<FactorRow>& rows) {
   return (k * sxy - sx * sy) / (k * sxx - sx * sx);
 }
 
-// --quick mode: the hand-timed event, verify, Monte-Carlo and
-// factor-scaling rows written to BENCH_solvers.json, each with its
+// ---------------------------------------------------------------------------
+// erc_scaling — the default pre-simulation gate, erc::check, on the
+// 32/64/128/256-section modulator cores.  The time-vs-elements exponent
+// fitted over the best of kErcReps runs per size must stay <= 1.2, and
+// the 128-section core must check in under 50 ms.
+// ---------------------------------------------------------------------------
+
+constexpr int kErcReps = 7;
+
+struct ErcRow {
+  int size = 0;
+  std::size_t elements = 0;
+  std::size_t diagnostics = 0;
+  double check_ms = 0.0;
+};
+
+ErcRow time_erc_row(int sections) {
+  ErcRow r;
+  r.size = sections;
+  const auto c = build_verify_modulator(sections);
+  r.elements = c.elements().size();
+  r.check_ms = 1e300;
+  for (int rep = 0; rep < kErcReps; ++rep)
+    r.check_ms = std::min(
+        r.check_ms,
+        1e3 * time_once([&] { r.diagnostics = si::erc::check(c).size(); }));
+  return r;
+}
+
+// --quick mode: the hand-timed event, verify, Monte-Carlo, factor- and
+// ERC-scaling rows written to BENCH_solvers.json, each with its
 // regression gate.  Used by the CI benchmark smoke lane.
 int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
   if (telemetry) {
@@ -581,7 +613,15 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
   std::vector<FactorRow> factor_rows;
   for (int sections : {32, 64, 128, 256})
     factor_rows.push_back(time_factor_row(sections));
-  const double factor_exponent = fitted_exponent(factor_rows);
+  const double factor_exponent =
+      fitted_exponent(factor_rows, &FactorRow::unknowns, &FactorRow::factor_ms);
+
+  // The ERC gate across sizes.
+  std::vector<ErcRow> erc_rows;
+  for (int sections : {32, 64, 128, 256})
+    erc_rows.push_back(time_erc_row(sections));
+  const double erc_exponent =
+      fitted_exponent(erc_rows, &ErcRow::elements, &ErcRow::check_ms);
 
   std::ofstream os(out_path);
   os << "{\n  \"event_bench\": [\n";
@@ -629,6 +669,16 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
        << (i + 1 < factor_rows.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"factor_exponent\": " << factor_exponent;
+  os << ",\n  \"erc_scaling\": [\n";
+  for (std::size_t i = 0; i < erc_rows.size(); ++i) {
+    const auto& r = erc_rows[i];
+    os << "    {\"workload\": \"erc_modulator\", \"size\": " << r.size
+       << ", \"elements\": " << r.elements << ", \"reps\": " << kErcReps
+       << ", \"check_ms\": " << r.check_ms
+       << ", \"diagnostics\": " << r.diagnostics << "}"
+       << (i + 1 < erc_rows.size() ? "," : "") << "\n";
+  }
+  os << "  ],\n  \"erc_exponent\": " << erc_exponent;
   if (telemetry) {
     // Merge the solver telemetry snapshot: factor/refactor counts,
     // pattern misses, step stats for the whole quick suite.
@@ -728,6 +778,27 @@ int run_quick(const std::string& out_path, bool telemetry, bool long_horizon) {
                  "FAIL: SparseLu::factor time grows as n^%.2f (> n^2) over "
                  "the 32-256-section modulator Jacobians\n",
                  factor_exponent);
+    rc = 1;
+  }
+  for (const auto& r : erc_rows) {
+    std::printf("%-18s size=%d elements=%zu diagnostics=%zu check=%.2fms\n",
+                "erc_scaling", r.size, r.elements, r.diagnostics, r.check_ms);
+    // Gate: the default pre-simulation gate stays interactive.
+    if (r.size == 128 && r.check_ms > 50.0) {
+      std::fprintf(stderr,
+                   "FAIL: erc::check took %.2f ms (> 50 ms) on the "
+                   "128-section modulator core\n",
+                   r.check_ms);
+      rc = 1;
+    }
+  }
+  std::printf("erc_scaling fitted exponent=%.2f\n", erc_exponent);
+  // Gate: the ERC gate grows (near) linearly in circuit size.
+  if (erc_exponent > 1.2) {
+    std::fprintf(stderr,
+                 "FAIL: erc::check time grows as n^%.2f (> n^1.2) over the "
+                 "32-256-section modulator cores\n",
+                 erc_exponent);
     rc = 1;
   }
   if (telemetry) {

@@ -16,13 +16,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "obs/telemetry.hpp"
+#include "runtime/env.hpp"
 #include "serve/job_server.hpp"
 #include "serve/net_server.hpp"
 
@@ -32,16 +35,16 @@ std::atomic<bool> g_stop{false};
 
 void on_signal(int) { g_stop.store(true); }
 
-bool parse_flag(const char* arg, const char* name, long& out) {
+bool parse_flag(const char* arg, const char* name, long& out,
+                long min = LONG_MIN, long max = LONG_MAX) {
   const std::size_t n = std::strlen(name);
   if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  char* end = nullptr;
-  const long v = std::strtol(arg + n + 1, &end, 10);
-  if (end == arg + n + 1 || *end != '\0') {
-    std::fprintf(stderr, "si_served: bad value in '%s'\n", arg);
+  try {
+    out = si::runtime::parse_long(name, arg + n + 1, min, max);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "si_served: %s\n", e.what());
     std::exit(2);
   }
-  out = v;
   return true;
 }
 
@@ -53,7 +56,8 @@ int main(int argc, char** argv) {
   bool obs_on = true;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (parse_flag(a, "--port", port) || parse_flag(a, "--workers", workers) ||
+    if (parse_flag(a, "--port", port, 0, 65535) ||
+        parse_flag(a, "--workers", workers) ||
         parse_flag(a, "--queue", queue) ||
         parse_flag(a, "--timeout-ms", timeout_ms) ||
         parse_flag(a, "--cache", cache) || parse_flag(a, "--jobs", jobs_limit))

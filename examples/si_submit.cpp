@@ -16,13 +16,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "runtime/env.hpp"
 #include "serve/json.hpp"
 
 namespace {
@@ -48,12 +53,22 @@ bool flag_value(const char* arg, const char* name, std::string& out) {
   return true;
 }
 
+/// A strict integer flag value; a malformed one exits 2 with its message.
+long int_flag(const char* name, const std::string& v, long min = LONG_MIN,
+              long max = LONG_MAX) {
+  try {
+    return si::runtime::parse_long(name, v.c_str(), min, max);
+  } catch (const std::invalid_argument& e) {
+    std::exit(die(e.what()));
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   long port = 0;
-  std::string analysis, id_prefix = "job", timeout_ms, mc_trials, mc_sigma,
-              mc_measure;
+  std::optional<long> mc_trials;
+  std::string analysis, id_prefix = "job", timeout_ms, mc_sigma, mc_measure;
   bool want_stats = false, want_telemetry = false, no_cache = false;
   std::vector<std::string> decks;
 
@@ -61,13 +76,13 @@ int main(int argc, char** argv) {
     const char* a = argv[i];
     std::string v;
     if (flag_value(a, "--port", v)) {
-      port = std::strtol(v.c_str(), nullptr, 10);
+      port = int_flag("--port", v, 1, 65535);
     } else if (flag_value(a, "--analysis", v)) {
       analysis = v;
     } else if (flag_value(a, "--timeout-ms", v)) {
       timeout_ms = v;
     } else if (flag_value(a, "--mc-trials", v)) {
-      mc_trials = v;
+      mc_trials = int_flag("--mc-trials", v);
     } else if (flag_value(a, "--mc-sigma", v)) {
       mc_sigma = v;
     } else if (flag_value(a, "--mc-measure", v)) {
@@ -115,9 +130,7 @@ int main(int argc, char** argv) {
     if (!analysis.empty()) req.set("analysis", analysis);
     if (!timeout_ms.empty())
       req.set("timeout_ms", std::strtod(timeout_ms.c_str(), nullptr));
-    if (!mc_trials.empty())
-      req.set("mc_trials",
-              static_cast<double>(std::strtol(mc_trials.c_str(), nullptr, 10)));
+    if (mc_trials) req.set("mc_trials", static_cast<double>(*mc_trials));
     if (!mc_sigma.empty())
       req.set("mc_sigma", std::strtod(mc_sigma.c_str(), nullptr));
     if (!mc_measure.empty()) req.set("mc_measure", mc_measure);

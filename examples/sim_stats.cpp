@@ -16,12 +16,15 @@
 // the event engine — when partitioning degraded: the circuit collapsed
 // into a single block, or a scoped solve failed to converge and forced
 // a full activation.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "obs/telemetry.hpp"
+#include "runtime/env.hpp"
 #include "si/netlists.hpp"
 #include "spice/dc.hpp"
 #include "spice/transient.hpp"
@@ -80,7 +83,6 @@ RunSummary run_delay_line(int stages, double periods, bool adaptive,
   topt.t_stop = periods * T;
   topt.dt = T / 200.0;
   topt.adaptive = adaptive;
-  topt.erc_gate = false;
   topt.engine = engine;
   Transient tr(c, topt);
   tr.probe_voltage(c.node_name(h.out));
@@ -105,7 +107,6 @@ RunSummary run_modulator(int sections, double periods, bool adaptive,
   topt.t_stop = periods * T;
   topt.dt = T / 200.0;
   topt.adaptive = adaptive;
-  topt.erc_gate = false;
   topt.engine = engine;
   Transient tr(c, topt);
   tr.probe_voltage(c.node_name(h.out_p));
@@ -140,13 +141,22 @@ int main(int argc, char** argv) {
   int sections = 2;
   double periods = 1.0;
   TransientEngine engine = TransientEngine::kAuto;
+  // Strict counts: "--sections=8x" is an error, not 8 sections.
+  const auto count_flag = [](const char* name, const char* raw) {
+    try {
+      return static_cast<int>(si::runtime::parse_long(name, raw, 1, INT_MAX));
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "sim_stats: %s\n", e.what());
+      std::exit(2);
+    }
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) json = true;
     else if (std::strcmp(argv[i], "--adaptive") == 0) adaptive = true;
     else if (std::strncmp(argv[i], "--stages=", 9) == 0)
-      stages = std::atoi(argv[i] + 9);
+      stages = count_flag("--stages", argv[i] + 9);
     else if (std::strncmp(argv[i], "--sections=", 11) == 0)
-      sections = std::atoi(argv[i] + 11);
+      sections = count_flag("--sections", argv[i] + 11);
     else if (std::strncmp(argv[i], "--periods=", 10) == 0)
       periods = std::atof(argv[i] + 10);
     else if (std::strcmp(argv[i], "--engine=event") == 0)
@@ -161,8 +171,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (stages < 1 || sections < 1 || periods <= 0.0) {
-    std::fprintf(stderr, "sim_stats: stages/sections must be >= 1, periods > 0\n");
+  if (periods <= 0.0) {
+    std::fprintf(stderr, "sim_stats: periods must be > 0\n");
     return 2;
   }
   const bool event_engine = engine == TransientEngine::kEvent;

@@ -8,9 +8,12 @@
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
+#include "obs/telemetry.hpp"
 #include "spice/elements.hpp"
 #include "spice/mosfet.hpp"
 #include "verify/phase.hpp"
@@ -33,8 +36,12 @@ std::string fmt(double v) {
   return out.str();
 }
 
+/// An element index and one of its terminals.
+using Attachment = std::pair<std::size_t, Terminal>;
+
 /// Shared per-check state: the circuit, every element's terminals, and
-/// the per-node attachment lists.
+/// the per-node indices every rule walks instead of rescanning the
+/// element list.
 struct Ctx {
   const Circuit& c;
   const spice::ParseIndex* index;
@@ -42,8 +49,11 @@ struct Ctx {
   const ErcOptions& opt;
   /// terminals[k] belongs to c.elements()[k].
   std::vector<std::vector<Terminal>> terminals;
-  /// attached[n] lists (element index, terminal) pairs touching node n.
-  std::vector<std::vector<std::pair<std::size_t, Terminal>>> attached;
+  /// attached[n] lists the terminals touching node n, in element order.
+  std::vector<std::vector<Attachment>> attached;
+  /// supply[n] is V(n) set by the first voltage source, in element
+  /// order, between node n and ground (unset: no such source).
+  std::vector<std::optional<double>> supply;
 
   explicit Ctx(const Circuit& circuit, const spice::ParseIndex* idx,
                DiagnosticSink& s, const ErcOptions& o)
@@ -51,10 +61,17 @@ struct Ctx {
     const auto& elems = c.elements();
     terminals.reserve(elems.size());
     attached.resize(c.node_count());
+    supply.resize(c.node_count());
     for (std::size_t k = 0; k < elems.size(); ++k) {
       terminals.push_back(elems[k]->terminals());
-      for (const Terminal& t : terminals.back())
-        attached[static_cast<std::size_t>(t.node)].emplace_back(k, t);
+      const auto& t = terminals.back();
+      for (const Terminal& term : t) attached[term.node].emplace_back(k, term);
+      const auto* v = dynamic_cast<const spice::VoltageSource*>(elems[k].get());
+      if (!v) continue;
+      if (t[1].node == spice::kGroundNode && !supply[t[0].node])
+        supply[t[0].node] = v->waveform().dc_value();
+      else if (t[0].node == spice::kGroundNode && !supply[t[1].node])
+        supply[t[1].node] = -v->waveform().dc_value();
     }
   }
 
@@ -266,9 +283,18 @@ struct MemoryPair {
   const spice::Switch* sp = nullptr;  ///< p-gate sampling switch
 };
 
-/// The switch connecting `a` and `b`, if any.
+/// The MOSFET of `type` whose `role` terminal ("d", "g", ...) is `a`.
+const Mosfet* mosfet_at(const Ctx& ctx, const Attachment& a,
+                        spice::MosType type, std::string_view role) {
+  const auto* m = dynamic_cast<const Mosfet*>(&ctx.element(a.first));
+  return m && m->type() == type && a.second.role == role ? m : nullptr;
+}
+
+/// The first switch, in element order, connecting `a` and `b`, if any.
 const spice::Switch* switch_between(const Ctx& ctx, NodeId a, NodeId b) {
-  for (std::size_t k = 0; k < ctx.c.elements().size(); ++k) {
+  const auto& at_a = ctx.attached[a];
+  const auto& at_b = ctx.attached[b];
+  for (const auto& [k, term] : at_a.size() <= at_b.size() ? at_a : at_b) {
     const auto* sw = dynamic_cast<const spice::Switch*>(&ctx.element(k));
     if (!sw) continue;
     const auto& t = ctx.terminals[k];
@@ -279,16 +305,15 @@ const spice::Switch* switch_between(const Ctx& ctx, NodeId a, NodeId b) {
   return nullptr;
 }
 
+/// Pairs in NMOS element order, then PMOS element order on its drain.
 std::vector<MemoryPair> find_memory_pairs(const Ctx& ctx) {
-  std::vector<const Mosfet*> nmos, pmos;
-  for (const auto& e : ctx.c.elements())
-    if (const auto* m = dynamic_cast<const Mosfet*>(e.get()))
-      (m->type() == spice::MosType::kNmos ? nmos : pmos).push_back(m);
-
   std::vector<MemoryPair> pairs;
-  for (const Mosfet* n : nmos) {
-    for (const Mosfet* p : pmos) {
-      if (n->drain() != p->drain()) continue;
+  for (const auto& e : ctx.c.elements()) {
+    const auto* n = dynamic_cast<const Mosfet*>(e.get());
+    if (!n || n->type() != spice::MosType::kNmos) continue;
+    for (const Attachment& d : ctx.attached[n->drain()]) {
+      const Mosfet* p = mosfet_at(ctx, d, spice::MosType::kPmos, "d");
+      if (!p) continue;
       MemoryPair mp;
       mp.mn = n;
       mp.mp = p;
@@ -305,26 +330,11 @@ std::vector<MemoryPair> find_memory_pairs(const Ctx& ctx) {
   return pairs;
 }
 
-/// DC supply magnitude feeding node `n` via a grounded voltage source,
-/// or 0 when none is found.
-double supply_at(const Ctx& ctx, NodeId n) {
-  for (std::size_t k = 0; k < ctx.c.elements().size(); ++k) {
-    const auto* v = dynamic_cast<const spice::VoltageSource*>(&ctx.element(k));
-    if (!v) continue;
-    const auto& t = ctx.terminals[k];
-    if (t[0].node == n && t[1].node == spice::kGroundNode)
-      return v->waveform().dc_value();
-    if (t[1].node == n && t[0].node == spice::kGroundNode)
-      return -v->waveform().dc_value();
-  }
-  return 0.0;
-}
-
 /// si.supply-min + si.classab-asymmetry over detected memory pairs.
 void check_memory_pairs(Ctx& ctx, const std::vector<MemoryPair>& pairs) {
   for (const MemoryPair& mp : pairs) {
     if (mp.mn->source() != spice::kGroundNode) continue;
-    const double vdd = supply_at(ctx, mp.mp->source());
+    const double vdd = ctx.supply[mp.mp->source()].value_or(0.0);
     if (vdd == 0.0) continue;  // supply rail not identifiable
 
     const double vt_n = std::abs(mp.mn->params().vt0);
@@ -360,65 +370,56 @@ void check_memory_pairs(Ctx& ctx, const std::vector<MemoryPair>& pairs) {
 }
 
 /// si.clock-overlap: cascaded memory cells (drains joined by a transfer
-/// switch) must sample on non-overlapping phases.
+/// switch) must sample on non-overlapping phases.  ON intervals come
+/// from waveform breakpoints and the overlap is computed symbolically
+/// over the hyperperiod, so an overlap of any width — down to one
+/// representable instant — is caught.
 void check_clock_phases(Ctx& ctx, const std::vector<MemoryPair>& pairs) {
   const auto sampling_switch = [](const MemoryPair& mp) {
     const spice::Switch* sw = mp.sn ? mp.sn : mp.sp;
     return (sw && sw->control().period() > 0.0) ? sw : nullptr;
   };
+  std::vector<std::vector<std::size_t>> pairs_at(ctx.c.node_count());
+  for (std::size_t i = 0; i < pairs.size(); ++i)
+    pairs_at[pairs[i].drain].push_back(i);
+
+  std::vector<std::size_t> cascaded;
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    for (std::size_t j = i + 1; j < pairs.size(); ++j) {
-      const MemoryPair& a = pairs[i];
+    const MemoryPair& a = pairs[i];
+    const spice::Switch* sa = sampling_switch(a);
+    if (!sa) continue;  // aperiodic (DC study) or diode cell
+    // Later pairs on a drain that a switch joins to a's, ascending.
+    cascaded.clear();
+    for (const auto& [k, term] : ctx.attached[a.drain]) {
+      if (!dynamic_cast<const spice::Switch*>(&ctx.element(k))) continue;
+      const auto& t = ctx.terminals[k];
+      const NodeId other = t[0].node == a.drain ? t[1].node : t[0].node;
+      if (other == a.drain) continue;  // self-loop, not a transfer switch
+      for (std::size_t j : pairs_at[other])
+        if (j > i) cascaded.push_back(j);
+    }
+    std::sort(cascaded.begin(), cascaded.end());
+    cascaded.erase(std::unique(cascaded.begin(), cascaded.end()),
+                   cascaded.end());
+    for (std::size_t j : cascaded) {
       const MemoryPair& b = pairs[j];
-      if (a.drain == b.drain) continue;  // same cell seen twice
-      if (!switch_between(ctx, a.drain, b.drain)) continue;  // not cascaded
-      const spice::Switch* sa = sampling_switch(a);
       const spice::Switch* sb = sampling_switch(b);
-      if (!sa || !sb) continue;  // aperiodic (DC study) or diode cells
-      if (ctx.opt.exact_clock_phase) {
-        // Exact path: ON intervals from waveform breakpoints, overlap
-        // computed symbolically over the hyperperiod.  An overlap of
-        // any width — down to one representable instant — is caught.
-        const verify::OverlapReport rep = verify::phase_overlap(
-            verify::switch_phase(*sa), verify::switch_phase(*sb));
-        if (rep.overlap > 0.0) {
-          ctx.sink.report(
-              {Severity::kError, "si.clock-overlap",
-               "cascaded memory cells at nodes '" + ctx.c.node_name(a.drain) +
-                   "' and '" + ctx.c.node_name(b.drain) +
-                   "' sample on overlapping clock phases (" +
-                   fmt(rep.overlap * 1e9) + " ns of double-ON per " +
-                   fmt(rep.hyperperiod * 1e9) +
-                   " ns hyperperiod, non-overlap margin " +
-                   fmt(rep.margin * 1e9) + " ns): the chain is transparent, "
-                   "not a z^-1 delay",
-               ctx.line_of_element(sb->name()), sb->name(),
-               "clock the second cell on the opposite phase"});
-        }
-        continue;
-      }
-      // Legacy sampled scan (kept for exact_clock_phase = false): blind
-      // to overlaps narrower than period / clock_samples.
-      const double period =
-          std::max(sa->control().period(), sb->control().period());
-      const int samples = std::max(8, ctx.opt.clock_samples);
-      for (int k = 0; k < samples; ++k) {
-        const double t = (k + 0.5) * period / samples;
-        if (sa->is_on(t) && sb->is_on(t)) {
-          ctx.sink.report(
-              {Severity::kError, "si.clock-overlap",
-               "cascaded memory cells at nodes '" +
-                   ctx.c.node_name(a.drain) + "' and '" +
-                   ctx.c.node_name(b.drain) +
-                   "' sample on overlapping clock phases (both switches "
-                   "closed at t = " +
-                   fmt(t * 1e9) + " ns): the chain is transparent, not a "
-                   "z^-1 delay",
-               ctx.line_of_element(sb->name()), sb->name(),
-               "clock the second cell on the opposite phase"});
-          break;
-        }
-      }
+      if (!sb) continue;
+      const verify::OverlapReport rep = verify::phase_overlap(
+          verify::switch_phase(*sa), verify::switch_phase(*sb));
+      if (rep.overlap <= 0.0) continue;
+      ctx.sink.report(
+          {Severity::kError, "si.clock-overlap",
+           "cascaded memory cells at nodes '" + ctx.c.node_name(a.drain) +
+               "' and '" + ctx.c.node_name(b.drain) +
+               "' sample on overlapping clock phases (" +
+               fmt(rep.overlap * 1e9) + " ns of double-ON per " +
+               fmt(rep.hyperperiod * 1e9) +
+               " ns hyperperiod, non-overlap margin " +
+               fmt(rep.margin * 1e9) + " ns): the chain is transparent, "
+               "not a z^-1 delay",
+           ctx.line_of_element(sb->name()), sb->name(),
+           "clock the second cell on the opposite phase"});
     }
   }
 }
@@ -440,25 +441,26 @@ void check_deep(Ctx& ctx) {
 /// si.cmff-half-size: the CMFF extraction devices must be half the size
 /// of the diode masters so Icm = (Id+ + Id-)/2 (Fig. 2).
 void check_cmff_sizing(Ctx& ctx) {
-  std::vector<const Mosfet*> nmos, pmos;
-  for (const auto& e : ctx.c.elements())
-    if (const auto* m = dynamic_cast<const Mosfet*>(e.get()))
-      (m->type() == spice::MosType::kNmos ? nmos : pmos).push_back(m);
-
   const auto is_diode = [](const Mosfet* m) { return m->gate() == m->drain(); };
 
-  for (const Mosfet* master : nmos) {
-    if (!is_diode(master)) continue;
-    for (const Mosfet* ext : nmos) {
-      if (ext == master || ext->gate() != master->drain() ||
-          ext->drain() == master->drain() ||
+  for (const auto& e : ctx.c.elements()) {
+    const auto* master = dynamic_cast<const Mosfet*>(e.get());
+    if (!master || master->type() != spice::MosType::kNmos ||
+        !is_diode(master))
+      continue;
+    // Extraction devices: NMOS gated by the master's drain.
+    for (const Attachment& g : ctx.attached[master->drain()]) {
+      const Mosfet* ext = mosfet_at(ctx, g, spice::MosType::kNmos, "g");
+      if (!ext || ext == master || ext->drain() == master->drain() ||
           ext->source() != master->source())
         continue;
       // The extraction drain must land on a PMOS diode (the mirror
       // master returning -Icm), otherwise this is a plain mirror output.
+      const auto& at_drain = ctx.attached[ext->drain()];
       const bool into_pmos_diode =
-          std::any_of(pmos.begin(), pmos.end(), [&](const Mosfet* p) {
-            return is_diode(p) && p->drain() == ext->drain();
+          std::any_of(at_drain.begin(), at_drain.end(), [&](const auto& d) {
+            const Mosfet* p = mosfet_at(ctx, d, spice::MosType::kPmos, "d");
+            return p && is_diode(p);
           });
       if (!into_pmos_diode) continue;
       const double master_ratio = master->params().w / master->params().l;
@@ -483,6 +485,8 @@ void check_cmff_sizing(Ctx& ctx) {
 
 void check(const Circuit& c, DiagnosticSink& sink, const ErcOptions& opt,
            const spice::ParseIndex* index) {
+  static obs::Timer& check_time = obs::timer("erc.check");
+  obs::ScopedTimer timed(check_time);
   sink.set_min_severity(opt.min_severity);
   for (const auto& rule : opt.suppress) sink.suppress(rule);
 

@@ -272,22 +272,13 @@ Circuit cascade_with_overlap(double overlap) {
 }
 
 TEST(VerifyTiming, ExactOverlapCatchesOneNanoPeriodOverlap) {
-  // Overlap of 1e-15 s on a 1e-6 s period: 1e-9 periods — three orders
-  // of magnitude below the legacy 128-point sampled scan's resolution.
+  // Overlap of 1e-15 s on a 1e-6 s period: 1e-9 periods, far below the
+  // resolution of any time-sampled scan.
   Circuit c = cascade_with_overlap(1e-15);
-  const auto is_overlap = [](const erc::Diagnostic& d) {
-    return d.rule == "si.clock-overlap";
-  };
-  erc::ErcOptions exact;  // exact_clock_phase defaults to true
-  const auto exact_diags = erc::check(c, exact);
-  EXPECT_TRUE(
-      std::any_of(exact_diags.begin(), exact_diags.end(), is_overlap));
-
-  erc::ErcOptions sampled;
-  sampled.exact_clock_phase = false;
-  const auto sampled_diags = erc::check(c, sampled);
-  EXPECT_FALSE(
-      std::any_of(sampled_diags.begin(), sampled_diags.end(), is_overlap));
+  const auto diags = erc::check(c);
+  EXPECT_TRUE(std::any_of(
+      diags.begin(), diags.end(),
+      [](const erc::Diagnostic& d) { return d.rule == "si.clock-overlap"; }));
 }
 
 TEST(VerifyTiming, NonOverlappingCascadeIsCleanWithMargin) {
